@@ -22,7 +22,9 @@
 //     documented O(n * sqrt(n)) total -- a regression to quadratic
 //     middle-inserts aborts the bench instead of just slowing it; the
 //     calendar queue runs the same workload under its own
-//     timeline/calendar-* names with a linear shifted-segment pin.
+//     timeline/calendar-* names with a linear shifted-segment pin;
+//   * the one-port validator alone, on a HEFT schedule built outside the
+//     timed loop, so the checker's own cost has a trajectory.
 //
 // Every bench forwards the per-thread scalability profiler: run with
 // ONEPORT_PROFILE=1 and the hot-path counter aggregate appears as
@@ -58,6 +60,7 @@
 #include "platform/routing.hpp"
 #include "sched/calendar_timeline.hpp"
 #include "sched/timeline.hpp"
+#include "sched/validate.hpp"
 #include "testbeds/testbeds.hpp"
 #include "util/error.hpp"
 #include "util/profiler.hpp"
@@ -434,6 +437,39 @@ void register_timeline_benchmarks() {
   }
 }
 
+/// validate_one_port on a precomputed HEFT one-port schedule of a scale
+/// graph: only the validator is timed.  The schedule is valid, so the
+/// checker walks every task, edge and message without reporting.
+void register_validate_benchmarks() {
+  for (const int n : {10000, 100000}) {
+    const std::string name =
+        "validate/one-port/n=" + std::to_string(n) + "/heft";
+    benchmark::RegisterBenchmark(
+        name.c_str(),
+        [n](benchmark::State& state) {
+          const TaskGraph& graph = scale_graph(n);
+          const Platform& platform = paper_platform();
+          const Schedule s =
+              heft(graph, platform, {.model = EftEngine::Model::kOnePort});
+          bool ok = true;
+          prof::reset();
+          for (auto _ : state) {
+            const ValidationResult r = validate_one_port(s, graph, platform);
+            ok = ok && r.ok();
+            benchmark::DoNotOptimize(ok);
+          }
+          OP_ASSERT(ok, "the HEFT schedule failed validation");
+          state.counters["tasks"] = static_cast<double>(graph.num_tasks());
+          state.counters["messages"] = static_cast<double>(s.num_comms());
+          state.counters["tasks_per_s"] = benchmark::Counter(
+              static_cast<double>(graph.num_tasks()),
+              benchmark::Counter::kIsIterationInvariantRate);
+          attach_profile_counters(state);
+        })
+        ->Unit(benchmark::kMillisecond);
+  }
+}
+
 void register_sweep_benchmarks() {
   // A modest figure grid: 2 testbeds x 3 sizes x 2 schedulers = 12
   // points, the shape the figure benches sweep.
@@ -680,6 +716,7 @@ int main(int argc, char** argv) {
   register_routed_benchmarks();
   register_reschedule_benchmarks();
   register_timeline_benchmarks();
+  register_validate_benchmarks();
   register_sweep_benchmarks();
   register_service_benchmarks();
   register_exact_benchmarks();

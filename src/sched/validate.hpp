@@ -14,7 +14,8 @@
 //       duration is data(u,v) * link(q,r), which starts no earlier than
 //       finish(u) and ends no later than start(v);
 //   M5  no spurious messages (no matching edge, same-processor transfer,
-//       duplicated edge message, or endpoints placed elsewhere).
+//       duplicated edge message, endpoints placed elsewhere, or a hop to
+//       or from a processor the platform does not have).
 //
 // One-port model (§2.3) adds:
 //   O1  messages sent by a given processor are pairwise non-overlapping
@@ -23,6 +24,13 @@
 //       non-overlapping (one receive port).
 // Send and receive may overlap on the same processor (bi-directional), and
 // computation always overlaps communication.
+//
+// Cost: O(T log T + (E + M) log M) for T tasks, E edges and M messages,
+// with no per-edge allocation.  The messages are sorted once, by time;
+// stable counting sorts then group them by edge (each store-and-forward
+// chain a contiguous run, found by binary search in its source's block)
+// and by port.  Ties are broken on the whole record, so the error list
+// depends only on the schedule's content, not on the order of comms().
 #pragma once
 
 #include <string>

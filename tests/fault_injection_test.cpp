@@ -11,6 +11,8 @@
 // with its own decisions, which the property sweeps cover.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "core/ilha.hpp"
 #include "platform/routing.hpp"
 #include "sched/replay.hpp"
+#include "sched/validate.hpp"
 #include "support/faults.hpp"
 #include "support/invariants.hpp"
 #include "support/scenario.hpp"
@@ -257,6 +260,56 @@ TEST_F(ForkJoinFaults, EveryFaultTripsTheAggregateBattery) {
         check_all_invariants(scenario_, mutants[i], CommModel::kOnePort)
             .empty())
         << "mutant " << i << " slipped through the invariant battery";
+  }
+}
+
+TEST(FaultReports, ErrorListIgnoresMessageOrder) {
+  // Every mutant, validated with comms() shuffled under fixed seeds, must
+  // report byte-identical errors: the validator orders ties on the whole
+  // record, never on where a message sits in comms().
+  const Scenario star = star_scenario();
+  const Scenario ring = ring_scenario();
+  const Scenario fork_join = forkjoin_scenario();
+  const Schedule star_valid = star_schedule(star);
+  const Schedule ring_valid = reschedule_fixed_allocation(
+      ring.graph, ring.platform, {0, 2}, EftEngine::Model::kOnePort,
+      ring.routing_ptr());
+  const Schedule fj_valid = heft(fork_join.graph, fork_join.platform,
+                                 {.model = EftEngine::Model::kOnePort});
+  const int fj_procs = fork_join.platform.num_processors();
+  const struct {
+    const char* name;
+    const Scenario* scenario;
+    Schedule mutant;
+  } cases[] = {
+      {"drop_chain_hop", &star, drop_chain_hop(star_valid)},
+      {"drop_edge_messages", &star, drop_edge_messages(star_valid)},
+      {"shift_receive_before_send", &star,
+       shift_receive_before_send(star_valid)},
+      {"overlap_send_port", &fork_join, overlap_send_port(fj_valid)},
+      {"overlap_recv_port", &fork_join, overlap_recv_port(fj_valid)},
+      {"overlap_compute", &fork_join, overlap_compute(fj_valid)},
+      {"stretch_task_duration", &fork_join, stretch_task_duration(fj_valid)},
+      {"misplace_task", &fork_join, misplace_task(fj_valid, fj_procs)},
+      {"duplicate_message", &fork_join, duplicate_message(fj_valid)},
+      {"reroute_chain_hop", &ring, reroute_chain_hop(ring_valid, 3)},
+      {"compress_schedule", &fork_join, compress_schedule(fj_valid, 0.05)},
+  };
+  std::mt19937 rng(20261017);
+  for (const auto& c : cases) {
+    const std::string expected =
+        validate_one_port(c.mutant, c.scenario->graph, c.scenario->platform)
+            .message();
+    for (int round = 0; round < 8; ++round) {
+      std::vector<CommPlacement> comms = c.mutant.comms();
+      std::shuffle(comms.begin(), comms.end(), rng);
+      const Schedule shuffled(c.mutant.tasks(), std::move(comms));
+      EXPECT_EQ(validate_one_port(shuffled, c.scenario->graph,
+                                  c.scenario->platform)
+                    .message(),
+                expected)
+          << c.name << ", round " << round;
+    }
   }
 }
 

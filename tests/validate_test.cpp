@@ -3,9 +3,13 @@
 // checks that the error messages point at the right rule.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "core/heft.hpp"
 #include "graph/task_graph.hpp"
 #include "platform/platform.hpp"
 #include "sched/validate.hpp"
+#include "testbeds/testbeds.hpp"
 
 namespace oneport {
 namespace {
@@ -154,6 +158,109 @@ TEST(ValidateMacro, MessageOnWrongProcessors) {
   EXPECT_NE(r.message().find("hop"), std::string::npos);
 }
 
+TEST(ValidateMacro, MessageToUnknownProcessorReportsInsteadOfThrowing) {
+  // Schedule::add_comm accepts any non-negative processor id; the hop has
+  // no link to price it by, so it must come back as a violation.
+  ChainFixture f;
+  Schedule s(2);
+  s.place_task(0, 0, 0.0, 1.0);
+  s.add_comm({0, 1, 0, 7, 1.0, 3.0});
+  s.place_task(1, 1, 3.0, 4.0);
+  for (const bool one_port : {false, true}) {
+    ValidationResult r;
+    ASSERT_NO_THROW(r = one_port ? validate_one_port(s, f.graph, f.platform)
+                                 : validate_macro_dataflow(s, f.graph,
+                                                           f.platform));
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.message().find("M5: edge 0->1 hop P0->P7: invalid processor"),
+              std::string::npos)
+        << r.message();
+    EXPECT_EQ(r.message().find("duration"), std::string::npos)
+        << r.message();
+  }
+}
+
+TEST(ValidateMacro, SpuriousRunBetweenValidRunsIsReportedOnce) {
+  // Edges 0->1 and 0->3; the two messages for the non-edge 0->2 form a
+  // run that sorts between the two valid runs of source 0.
+  TaskGraph g;
+  for (int i = 0; i < 4; ++i) g.add_task(1.0);
+  g.add_edge(0, 1, 1.0);
+  g.add_edge(0, 3, 1.0);
+  g.finalize();
+  const Platform p({1.0, 1.0, 1.0, 1.0}, 1.0);
+  Schedule s(4);
+  s.place_task(0, 0, 0.0, 1.0);
+  s.add_comm({0, 1, 0, 1, 1.0, 2.0});
+  s.place_task(1, 1, 2.0, 3.0);
+  s.add_comm({0, 2, 0, 2, 2.0, 3.0});
+  s.add_comm({0, 2, 0, 2, 4.0, 5.0});
+  s.place_task(2, 2, 0.0, 1.0);
+  s.add_comm({0, 3, 0, 3, 3.0, 4.0});
+  s.place_task(3, 3, 4.0, 5.0);
+  const ValidationResult r = validate_one_port(s, g, p);
+  ASSERT_EQ(r.errors.size(), 1u) << r.message();
+  EXPECT_EQ(r.errors[0], "M5: message for non-existent edge 0->2");
+}
+
+TEST(ValidateMacro, MessageNamingTaskOutsideGraphIsReported) {
+  // Schedule keeps message endpoints below its own size, so a message can
+  // only name a task the graph lacks when the schedule is larger.
+  ChainFixture f;
+  Schedule s(3);
+  s.place_task(0, 0, 0.0, 1.0);
+  s.place_task(1, 1, 3.0, 4.0);
+  s.place_task(2, 1, 4.0, 5.0);
+  s.add_comm({0, 1, 0, 1, 1.0, 3.0});
+  s.add_comm({2, 0, 1, 0, 5.0, 6.0});
+  s.add_comm({0, 2, 0, 1, 3.0, 4.0});
+  ValidationResult r;
+  ASSERT_NO_THROW(r = validate_one_port(s, f.graph, f.platform));
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.message().find("schedule has 3 tasks, graph has 2"),
+            std::string::npos)
+      << r.message();
+}
+
+TEST(ValidateMacro, DuplicateMessagesOnOneEdge) {
+  ChainFixture f;
+  Schedule s(2);
+  s.place_task(0, 0, 0.0, 1.0);
+  s.add_comm({0, 1, 0, 1, 1.0, 3.0});
+  s.add_comm({0, 1, 0, 1, 1.0, 3.0});
+  s.place_task(1, 1, 3.0, 4.0);
+  const ValidationResult r = validate_macro_dataflow(s, f.graph, f.platform);
+  ASSERT_FALSE(r.ok());
+  // The second copy reads as a hop that restarts from the source.
+  EXPECT_NE(r.message().find("M5: edge 0->1: hop P0->P1 does not continue "
+                             "from P1"),
+            std::string::npos)
+      << r.message();
+  EXPECT_NE(r.message().find("before the previous hop lands"),
+            std::string::npos)
+      << r.message();
+  // Both copies belong to a real edge: neither is spurious.
+  EXPECT_EQ(r.message().find("non-existent"), std::string::npos)
+      << r.message();
+  // Sharing both ports, they also break the one-port rules.
+  const ValidationResult one_port =
+      validate_one_port(s, f.graph, f.platform);
+  EXPECT_NE(one_port.message().find("O1"), std::string::npos);
+  EXPECT_NE(one_port.message().find("O2"), std::string::npos);
+}
+
+TEST(ValidateMacro, WideForkJoinValidatesClean) {
+  // 10k successors of one fork: each edge finds its chain by binary
+  // search inside the fork's block of messages.
+  const TaskGraph g = testbeds::make_fork_join(10000, /*comm_ratio=*/0.1);
+  const Platform p = make_paper_platform();
+  const Schedule s = heft(g, p, {.model = EftEngine::Model::kOnePort});
+  ASSERT_GT(s.num_comms(), 1000u);
+  const ValidationResult r = validate_one_port(s, g, p);
+  EXPECT_TRUE(r.ok()) << r.message();
+  EXPECT_TRUE(validate_macro_dataflow(s, g, p).ok());
+}
+
 // ------------------------------------------------------------- one-port
 
 /// Fork 0 -> {1, 2} on three processors; both messages leave P0.
@@ -184,6 +291,26 @@ TEST(ValidateOnePort, RejectsOverlappingSends) {
   const ValidationResult r = validate_one_port(s, f.graph, f.platform);
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.message().find("O1"), std::string::npos);
+}
+
+TEST(ValidateOnePort, TiedMessagesReportTheSameErrorsInAnyOrder) {
+  // Both messages leave P0 at the same time: the report must not depend
+  // on which one comms() lists first.
+  ForkFixture f;
+  const CommPlacement a{0, 1, 0, 1, 1.0, 3.0};
+  const CommPlacement b{0, 2, 0, 2, 1.0, 3.0};
+  std::string messages[2];
+  for (int order = 0; order < 2; ++order) {
+    Schedule s(3);
+    s.place_task(0, 0, 0.0, 1.0);
+    s.add_comm(order == 0 ? a : b);
+    s.add_comm(order == 0 ? b : a);
+    s.place_task(1, 1, 3.0, 4.0);
+    s.place_task(2, 2, 3.0, 4.0);
+    messages[order] = validate_one_port(s, f.graph, f.platform).message();
+  }
+  EXPECT_NE(messages[0].find("O1"), std::string::npos) << messages[0];
+  EXPECT_EQ(messages[0], messages[1]);
 }
 
 TEST(ValidateOnePort, AcceptsSerializedSends) {
