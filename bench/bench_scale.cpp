@@ -629,6 +629,12 @@ void register_exact_benchmarks() {
   cases.push_back({"anytime/mltrain2",
                    std::make_shared<const TaskGraph>(testbeds::make_mltrain(2)),
                    20'000});
+  // The widest frontier of the audited instances: ~600 candidate
+  // dispatches per node near the root, where child ordering costs most.
+  cases.push_back({"anytime/forkjoin60",
+                   std::make_shared<const TaskGraph>(
+                       testbeds::make_fork_join(60)),
+                   20'000});
   for (const ExactCase& c : cases) {
     const std::string name = "exact/lb-quality/" + c.name;
     benchmark::RegisterBenchmark(

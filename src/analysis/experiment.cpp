@@ -142,6 +142,11 @@ std::vector<SweepPoint> make_sweep_grid(
 SweepResult run_sweep_point(const SweepPoint& point, const Platform& platform,
                             const SweepOptions& options,
                             TopologyCacheShard* cache) {
+  // A negative cap would wrap to SIZE_MAX in the size comparison below
+  // and audit graphs of any size.
+  OP_REQUIRE(!options.audit_gap || options.audit_max_tasks >= 0,
+             "audit_max_tasks must be non-negative, got "
+                 << options.audit_max_tasks);
   const testbeds::TestbedEntry testbed = testbeds::find_testbed(point.testbed);
   const TaskGraph graph = testbed.make(point.size, point.comm_ratio);
 

@@ -141,7 +141,8 @@ struct SweepOptions {
   /// Node budget handed to BranchBoundOptions (deterministic cutoff).
   std::uint64_t audit_node_budget = 200'000;
   /// Points with more tasks than this report no bound at all rather
-  /// than a trivially-loose root bound.
+  /// than a trivially-loose root bound.  With audit_gap on, a negative
+  /// value makes run_sweep_point throw std::invalid_argument.
   int audit_max_tasks = 64;
 };
 

@@ -26,6 +26,8 @@ const char* counter_name(Counter c) noexcept {
     case Counter::kServiceBatches: return "service_batches";
     case Counter::kServiceRejects: return "service_rejects";
     case Counter::kServiceLatencyNanos: return "service_latency_nanos";
+    case Counter::kBbNodes: return "bb_nodes";
+    case Counter::kBbChildren: return "bb_children";
     case Counter::kCount: break;
   }
   return "unknown";

@@ -51,6 +51,8 @@ enum class Counter : std::uint32_t {
   kServiceBatches,         ///< scheduler-service admission batches drained
   kServiceRejects,         ///< requests rejected by backpressure
   kServiceLatencyNanos,    ///< total enqueue-to-completion nanoseconds
+  kBbNodes,                ///< branch-and-bound nodes expanded
+  kBbChildren,             ///< branch-and-bound children enumerated
   kCount,
 };
 

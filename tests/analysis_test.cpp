@@ -157,5 +157,24 @@ TEST(Experiment, SweepReportsEpochImbalance) {
   EXPECT_EQ(table.rows()[1][5], "on");
 }
 
+TEST(Experiment, NegativeAuditTaskCapIsRejected) {
+  // A negative cap must not wrap to "audit graphs of any size".
+  SweepPoint point;
+  point.testbed = "LU";
+  point.size = 5;
+  point.scheduler = "heft-oneport";
+  const Platform platform = make_paper_platform();
+  EXPECT_THROW((void)run_sweep_point(
+                   point, platform,
+                   {.workers = 1, .audit_gap = true, .audit_max_tasks = -1}),
+               std::invalid_argument);
+  // The cap is meaningless without the audit, so it is not checked.
+  EXPECT_NO_THROW((void)run_sweep_point(
+      point, platform, {.workers = 1, .audit_max_tasks = -1}));
+  const SweepResult audited = run_sweep_point(
+      point, platform, {.workers = 1, .audit_gap = true, .audit_max_tasks = 0});
+  EXPECT_FALSE(audited.audited);
+}
+
 }  // namespace
 }  // namespace oneport::analysis

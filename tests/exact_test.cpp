@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/heft.hpp"
@@ -13,7 +16,9 @@
 #include "exact/reductions.hpp"
 #include "exact/two_partition.hpp"
 #include "sched/validate.hpp"
+#include "support/bb_reference.hpp"
 #include "support/scenario.hpp"
+#include "testbeds/registry.hpp"
 #include "testbeds/testbeds.hpp"
 
 namespace oneport::exact {
@@ -409,6 +414,127 @@ TEST(BranchBound, OversizedInstanceGetsRootBoundOnly) {
   EXPECT_GT(bb.lower_bound, 0.0);
   // Root bound is at least the load bound W / aggregate speed.
   EXPECT_GE(bb.lower_bound, g.total_weight() / p.aggregate_speed() - 1e-9);
+}
+
+TEST(BranchBound, NegativeTaskCapIsRejected) {
+  // A negative cap must not wrap to "search graphs of any size".
+  const TaskGraph g = testbeds::make_lu(5);
+  const Platform p = make_paper_platform();
+  EXPECT_THROW((void)branch_bound_lower_bound(g, p, {.max_search_tasks = -1}),
+               std::invalid_argument);
+  TaskGraph empty;
+  empty.finalize();
+  EXPECT_THROW(
+      (void)branch_bound_lower_bound(empty, p, {.max_search_tasks = -1}),
+      std::invalid_argument);
+}
+
+// ------------------------------------------- differential oracle
+
+/// The production search must reproduce the reference search
+/// (tests/support/bb_reference.cpp) bit for bit: same traversal, same
+/// node count, same doubles down to the last bit.
+void expect_matches_reference(const TaskGraph& g, const Platform& p,
+                              const BranchBoundOptions& options,
+                              const std::string& what) {
+  const BranchBoundResult got = branch_bound_lower_bound(g, p, options);
+  const BranchBoundResult want =
+      testsupport::reference_branch_bound_lower_bound(g, p, options);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.lower_bound),
+            std::bit_cast<std::uint64_t>(want.lower_bound))
+      << what << ": lower_bound " << got.lower_bound << " vs "
+      << want.lower_bound;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.incumbent),
+            std::bit_cast<std::uint64_t>(want.incumbent))
+      << what << ": incumbent " << got.incumbent << " vs " << want.incumbent;
+  EXPECT_EQ(got.proven_optimal, want.proven_optimal) << what;
+  EXPECT_EQ(got.nodes_expanded, want.nodes_expanded) << what;
+}
+
+void expect_matches_reference(const testsupport::Scenario& scenario,
+                              std::uint64_t budget) {
+  BranchBoundOptions options;
+  options.node_budget = budget;
+  options.routing = scenario.routing_ptr();
+  expect_matches_reference(scenario.graph, scenario.platform, options,
+                           scenario.description + " budget " +
+                               std::to_string(budget));
+}
+
+TEST(BranchBoundDifferential, AuditSmallInstancesAtEveryBudget) {
+  // The instances the audit-small benchmark workload audits, on the
+  // paper platform, from an empty budget to a deep truncated search.
+  const std::vector<std::pair<std::string, std::vector<int>>> families = {
+      {"LU", {5, 8, 11}},     {"FORK-JOIN", {8, 30, 60}},
+      {"STENCIL", {4, 6, 8}}, {"MLTRAIN", {2, 3, 4}},
+      {"MICROSVC", {4, 8, 12}}};
+  const Platform p = make_paper_platform();
+  for (const auto& [name, sizes] : families) {
+    const testbeds::TestbedEntry testbed = testbeds::find_testbed(name);
+    for (const int n : sizes) {
+      const TaskGraph g = testbed.make(n, testbeds::kPaperCommRatio);
+      for (const std::uint64_t budget : {0ull, 1ull, 1000ull, 20'000ull}) {
+        expect_matches_reference(g, p, {.node_budget = budget},
+                                 name + "(" + std::to_string(n) +
+                                     ") budget " + std::to_string(budget));
+      }
+    }
+  }
+}
+
+TEST(BranchBoundDifferential, ScenarioRotation) {
+  // Random heterogeneous platforms, the degenerate edge cases, the
+  // workload families, and routed sparse networks (routed distances).
+  for (const std::vector<testsupport::Scenario>& scenarios :
+       {testsupport::scenario_sweep(101, 8),
+        testsupport::edge_case_scenarios(),
+        testsupport::workload_scenario_sweep(151, 6),
+        testsupport::routed_scenario_sweep(131, 10)}) {
+    for (const testsupport::Scenario& scenario : scenarios) {
+      for (const std::uint64_t budget : {1000ull, 20'000ull}) {
+        expect_matches_reference(scenario, budget);
+      }
+    }
+  }
+}
+
+TEST(BranchBoundDifferential, HomogeneousPlatformSymmetrySkip) {
+  // Identical processors and uniform links: the search tries only one
+  // fresh processor per task, a branch heterogeneous platforms never take.
+  const Platform p = make_homogeneous_platform(4, 1.0);
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    testbeds::RandomDagOptions dag;
+    dag.seed = seed;
+    dag.layers = 4;
+    dag.max_width = 3;
+    dag.comm_ratio = static_cast<double>(seed % 3);
+    const TaskGraph g = testbeds::make_random_layered(dag);
+    for (const std::uint64_t budget : {1000ull, 20'000ull}) {
+      expect_matches_reference(g, p, {.node_budget = budget},
+                               "random seed " + std::to_string(seed));
+    }
+  }
+  expect_matches_reference(testbeds::make_fork_join(12), p,
+                           {.node_budget = 20'000}, "FORK-JOIN(12)");
+}
+
+TEST(BranchBoundDifferential, TaskCapBoundaryAndWideGraphs) {
+  const Platform p = make_paper_platform();
+  const TaskGraph lu8 = testbeds::make_lu(8);
+  const int n = static_cast<int>(lu8.num_tasks());
+  for (const int cap : {n, n - 1}) {
+    expect_matches_reference(
+        lu8, p, {.node_budget = 20'000, .max_search_tasks = cap},
+        "LU(8) cap " + std::to_string(cap));
+  }
+  // More than 64 tasks: the task sets span several words.
+  for (const TaskGraph& g :
+       {testbeds::make_lu(12), testbeds::make_fork_join(70)}) {
+    ASSERT_GT(g.num_tasks(), 64u);
+    expect_matches_reference(g, p,
+                             {.node_budget = 20'000, .max_search_tasks = 128},
+                             std::to_string(g.num_tasks()) + " tasks");
+  }
 }
 
 /// Soundness over the seeded scenario rotation (ISSUE-10 satellite):

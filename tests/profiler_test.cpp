@@ -14,6 +14,7 @@
 #include <string>
 
 #include "core/registry.hpp"
+#include "exact/branch_bound.hpp"
 #include "sched/schedule.hpp"
 #include "support/scenario.hpp"
 #include "util/env_knobs.hpp"
@@ -45,9 +46,12 @@ TEST(ProfilerDisabled, NeverAllocatesSlabsOrMovesCounters) {
   const Scenario scenario = make_scenario();
   const Schedule schedule = run_heft(scenario);
   ASSERT_GT(schedule.num_tasks(), 0u);
-  // Exercise the thread-pool probe sites too.
+  // Exercise the thread-pool and branch-and-bound probe sites too.
   ThreadPool pool(2);
   pool.parallel_for(16, [](std::size_t) {});
+  const exact::BranchBoundResult bb = exact::branch_bound_lower_bound(
+      scenario.graph, scenario.platform, {.node_budget = 1000});
+  ASSERT_GT(bb.nodes_expanded, 0u);
   EXPECT_EQ(prof::slab_count(), 0u)
       << "the disabled path allocated a counter slab, breaking the "
          "zero-overhead contract";
@@ -112,6 +116,27 @@ TEST(Profiler, CountersTrackOneScheduleRunExactly) {
             0u);
   EXPECT_GT(totals[static_cast<std::size_t>(prof::Counter::kTimelineReserves)],
             0u);
+}
+
+// One bb_nodes bump per expansion, and bb_children adds each expanded
+// node's child count, so children per node is readable from a profile.
+TEST(Profiler, BranchBoundCountsNodesAndChildren) {
+  if (!prof::compiled_in()) GTEST_SKIP() << "built with ONEPORT_PROFILER=OFF";
+  const Scenario scenario = make_scenario();
+  prof::ScopedProfiler guard(true);
+  prof::reset();
+  const exact::BranchBoundResult bb = exact::branch_bound_lower_bound(
+      scenario.graph, scenario.platform, {.node_budget = 1000});
+  const prof::Counts totals = prof::aggregate();
+  const std::uint64_t nodes =
+      totals[static_cast<std::size_t>(prof::Counter::kBbNodes)];
+  const std::uint64_t children =
+      totals[static_cast<std::size_t>(prof::Counter::kBbChildren)];
+  EXPECT_EQ(nodes, bb.nodes_expanded);
+  // Every expanded node except the root was pushed as a child first.
+  EXPECT_GE(children, nodes - 1);
+  EXPECT_STREQ(prof::counter_name(prof::Counter::kBbNodes), "bb_nodes");
+  EXPECT_STREQ(prof::counter_name(prof::Counter::kBbChildren), "bb_children");
 }
 
 TEST(Profiler, ResetZeroesEveryRegisteredSlab) {
