@@ -32,7 +32,6 @@ EftEngine::EftEngine(const TaskGraph& graph, const Platform& platform,
   OP_REQUIRE(routing == nullptr ||
                  routing->num_processors() == platform.num_processors(),
              "routing table does not match the platform");
-  if (default_graph_path() == GraphPath::kSoa) soa_.emplace(graph);
   for (TaskId v = 0; v < graph.num_tasks(); ++v) {
     pending_preds_[v] = static_cast<std::uint32_t>(graph.in_degree(v));
   }
@@ -53,7 +52,7 @@ EftEngine::EftEngine(const TaskGraph& graph, const Platform& platform,
 
 TimelineOverlay& EftEngine::overlay_of(
     std::vector<TimelineOverlay>& overlays, std::vector<std::uint64_t>& epochs,
-    const std::vector<TimelineIndex>& base, ProcId p) const {
+    const std::vector<GapTimeline>& base, ProcId p) const {
   const auto i = static_cast<std::size_t>(p);
   if (epochs[i] != epoch_) {
     prof::bump(prof::Counter::kOverlayResets);
@@ -72,7 +71,7 @@ const std::vector<EftEngine::PredRec>& EftEngine::sorted_preds(
   if (preds_task_ == v) return preds_;
   preds_task_ = kInvalidTask;  // invalidate first: the fill below can throw
   preds_.clear();
-  for (const EdgeRef& e : preds_of(v)) {
+  for (const EdgeRef& e : graph_.predecessors(v)) {
     const TaskPlacement& src = placements_[e.task];
     OP_REQUIRE(src.placed(),
                "predecessor " << e.task << " of " << v << " not scheduled");
@@ -128,20 +127,19 @@ void EftEngine::evaluate_into(TaskId v, ProcId proc, Evaluation& out,
   out.comms.clear();
 
   const std::vector<PredRec>& preds = sorted_preds(v);
-  const double exec = weight_of(v) * cycle_data_[proc];
+  const double exec = graph_.weight(v) * cycle_data_[proc];
 
   // Overlay-free fast path (one-port, direct links): when every cross
   // predecessor sits on a *distinct* sender, no send port ever carries
   // more than one tentative message within this evaluation, so the
   // committed send timelines can be probed directly -- a sender overlay
   // with no extras forwards every probe to its base verbatim.  Only the
-  // receive port of `proc` accumulates tentative reservations; they live
-  // in a start-sorted scratch whose probe below mirrors
-  // TimelineOverlay::next_fit operation for operation (horizon shortcut,
-  // base probe, ordered absorb pass to a fixpoint), so the resulting
-  // evaluation is bit-identical to the general path's.  Overlays are
-  // never touched here, which makes skipping the epoch bump safe: every
-  // general evaluation still bumps before reading one.
+  // receive port of `proc` accumulates tentative reservations, in the
+  // engine-owned fast_recv_ overlay; the probes are the general path's,
+  // operation for operation, so the resulting evaluation is
+  // bit-identical to it.  The per-processor overlays are never touched
+  // here, which makes skipping the epoch bump safe: every general
+  // evaluation still bumps before reading one.
   if (model_ == Model::kOnePort && routing_ == nullptr && np_ <= 64) {
     std::uint64_t seen = 0;
     bool distinct = true;
@@ -156,12 +154,7 @@ void EftEngine::evaluate_into(TaskId v, ProcId proc, Evaluation& out,
       seen |= bit;
     }
     if (distinct) {
-      recv_extras_.clear();
-      double extras_horizon = 0.0;
-      const TimelineIndex& rcv = recv_[static_cast<std::size_t>(proc)];
-      // The committed base never changes during one evaluation, matching
-      // the horizon an overlay would have cached at reset.
-      const double rcv_horizon = rcv.horizon();
+      fast_recv_.reset(recv_[static_cast<std::size_t>(proc)]);
       double arrival = 0.0;
       for (const PredRec& r : preds) {
         if (arrival + exec > cutoff) {
@@ -181,44 +174,9 @@ void EftEngine::evaluate_into(TaskId v, ProcId proc, Evaluation& out,
                                       << " and no routing table provided");
         double start = r.finish;
         if (duration > kTimeEps) {
-          const TimelineIndex& snd = send_[static_cast<std::size_t>(r.proc)];
-          const auto recv_fit = [&](double ready) {
-            if (ready >= rcv_horizon - kTimeEps &&
-                ready >= extras_horizon - kTimeEps) {
-              return ready;
-            }
-            if (recv_extras_.empty()) return rcv.next_fit(ready, duration);
-            double c = ready;
-            while (true) {
-              c = rcv.next_fit(c, duration);
-              bool moved = false;
-              for (const Interval& extra : recv_extras_) {
-                if (extra.start >= c + duration - kTimeEps) break;
-                if (overlaps(extra, {c, c + duration})) {
-                  c = extra.end;
-                  moved = true;
-                }
-              }
-              if (!moved) return c;
-            }
-          };
-          double candidate = r.finish;
-          while (true) {
-            const double ca = snd.next_fit(candidate, duration);
-            const double cb = recv_fit(ca);
-            if (cb <= ca + kTimeEps) {
-              start = ca;
-              break;
-            }
-            candidate = cb;
-          }
-          const double stop = start + duration;
-          if (stop > extras_horizon) extras_horizon = stop;
-          recv_extras_.insert(
-              std::partition_point(
-                  recv_extras_.begin(), recv_extras_.end(),
-                  [start](const Interval& e) { return e.start < start; }),
-              Interval{start, stop});
+          start = joint_fit(send_[static_cast<std::size_t>(r.proc)],
+                            fast_recv_, r.finish, duration);
+          fast_recv_.add(start, start + duration);
         }
         out.comms.push_back({r.task, r.proc, proc, start, start + duration});
         arrival = std::max(arrival, start + duration);
@@ -263,7 +221,7 @@ void EftEngine::evaluate_into(TaskId v, ProcId proc, Evaluation& out,
             overlay_of(send_overlays_, send_epochs_, send_, r.proc);
         TimelineOverlay& recv_ov =
             overlay_of(recv_overlays_, recv_epochs_, recv_, proc);
-        start = earliest_joint_fit(send_ov, recv_ov, r.finish, duration);
+        start = joint_fit(send_ov, recv_ov, r.finish, duration);
         send_ov.add(start, start + duration);
         recv_ov.add(start, start + duration);
       }
@@ -290,7 +248,7 @@ void EftEngine::evaluate_into(TaskId v, ProcId proc, Evaluation& out,
             overlay_of(send_overlays_, send_epochs_, send_, a);
         TimelineOverlay& recv_ov =
             overlay_of(recv_overlays_, recv_epochs_, recv_, b);
-        start = earliest_joint_fit(send_ov, recv_ov, cursor, duration);
+        start = joint_fit(send_ov, recv_ov, cursor, duration);
         send_ov.add(start, start + duration);
         recv_ov.add(start, start + duration);
       }
@@ -373,7 +331,7 @@ void EftEngine::fill_bounds(TaskId v) const {
   // (next_fit on the arrival bound) is deferred to evaluate_best, which
   // probes a candidate only when it actually reaches the front of the
   // scan -- candidates pruned on the cheap key never pay for a probe.
-  const double w = weight_of(v);
+  const double w = graph_.weight(v);
   bounds_scratch_.clear();
   for (std::size_t p = 0; p < np; ++p) {
     bounds_scratch_.emplace_back(arr[p] + w * cycle_data_[p],
@@ -408,7 +366,7 @@ const Evaluation& EftEngine::evaluate_best(TaskId v) const {
   fill_bounds(v);
   std::sort(bounds_scratch_.begin(), bounds_scratch_.end());
   tight_scratch_.clear();
-  const double w = weight_of(v);
+  const double w = graph_.weight(v);
   const double inf = std::numeric_limits<double>::infinity();
 
   Evaluation& best = best_scratch_;
@@ -501,7 +459,7 @@ void EftEngine::commit(const Evaluation& eval) {
   compute_[static_cast<std::size_t>(eval.proc)].reserve(eval.start,
                                                         eval.finish);
   placements_[eval.task] = TaskPlacement{eval.proc, eval.start, eval.finish};
-  for (const EdgeRef& e : succs_of(eval.task)) {
+  for (const EdgeRef& e : graph_.successors(eval.task)) {
     OP_ASSERT(pending_preds_[e.task] > 0,
               "indegree counter underflow at task " << e.task);
     --pending_preds_[e.task];

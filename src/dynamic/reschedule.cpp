@@ -92,20 +92,6 @@ Platform heuristic_platform(const Platform& base, const LoopState& st,
   return Platform{std::move(cyc), std::move(link)};
 }
 
-/// earliest_joint_fit over committed timelines (no overlays needed: the
-/// rebuild commits every hop as it goes).
-double joint_fit(const TimelineIndex& send, const TimelineIndex& recv,
-                 double ready, double duration) {
-  if (duration <= kTimeEps) return ready;
-  double cursor = ready;
-  while (true) {
-    const double cs = send.next_fit(cursor, duration);
-    const double cr = recv.next_fit(cs, duration);
-    if (cr <= cs + kTimeEps) return cs;
-    cursor = cr;
-  }
-}
-
 Schedule compose(const LoopState& st) {
   Schedule schedule(st.tasks.size());
   for (TaskId v = 0; v < st.tasks.size(); ++v) {
@@ -147,9 +133,9 @@ void rebuild_suffix(const TaskGraph& graph, const Platform& base,
                     LoopState& st) {
   const int p = base.num_processors();
   const bool one_port = model == CommModel::kOnePort;
-  std::vector<TimelineIndex> compute(static_cast<std::size_t>(p));
-  std::vector<TimelineIndex> send(one_port ? static_cast<std::size_t>(p) : 0);
-  std::vector<TimelineIndex> recv(one_port ? static_cast<std::size_t>(p) : 0);
+  std::vector<GapTimeline> compute(static_cast<std::size_t>(p));
+  std::vector<GapTimeline> send(one_port ? static_cast<std::size_t>(p) : 0);
+  std::vector<GapTimeline> recv(one_port ? static_cast<std::size_t>(p) : 0);
 
   // Seed every reservation the past still owns: frozen compute slots,
   // live chains, started hops of superseded chains, and all previously

@@ -27,8 +27,7 @@
 // see only the live chains.
 //
 // Everything is deterministic: same (graph, platform, heuristic, trace)
-// yields bit-identical results, independent of the ONEPORT_TIMELINE
-// implementation (pinned by the differential sweep).
+// yields bit-identical results.
 #pragma once
 
 #include <string>

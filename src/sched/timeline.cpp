@@ -1,13 +1,9 @@
 #include "sched/timeline.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <limits>
-#include <string_view>
 
-#include "util/env_knobs.hpp"
 #include "util/error.hpp"
 
 namespace oneport {
@@ -16,83 +12,7 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// First busy interval whose end is after `t` (candidates that could block
-/// a slot starting at or after `t`).
-std::vector<Interval>::const_iterator first_blocking(
-    const std::vector<Interval>& busy, double t) {
-  return std::partition_point(
-      busy.begin(), busy.end(),
-      [t](const Interval& iv) { return iv.end <= t + kTimeEps; });
-}
-
 }  // namespace
-
-// ------------------------------------------------- reference timeline
-
-double Timeline::next_fit(double ready, double duration) const {
-  OP_REQUIRE(duration >= 0.0, "duration must be non-negative");
-  if (duration <= kTimeEps) return ready;
-  double candidate = ready;
-  for (auto it = first_blocking(busy_, candidate); it != busy_.end(); ++it) {
-    if (candidate + duration <= it->start + kTimeEps) break;
-    candidate = std::max(candidate, it->end);
-  }
-  return candidate;
-}
-
-void Timeline::reserve(double start, double end) {
-  OP_REQUIRE(end >= start - kTimeEps, "interval end before start");
-  const Interval iv{start, end};
-  if (iv.degenerate()) return;
-  const auto pos = std::partition_point(
-      busy_.begin(), busy_.end(),
-      [&iv](const Interval& b) { return b.start < iv.start; });
-  // Conflict check against the neighbors.
-  if (pos != busy_.begin()) {
-    OP_ASSERT(!overlaps(*(pos - 1), iv),
-              "reservation [" << start << "," << end << ") overlaps ["
-                              << (pos - 1)->start << "," << (pos - 1)->end
-                              << ")");
-  }
-  if (pos != busy_.end()) {
-    OP_ASSERT(!overlaps(*pos, iv),
-              "reservation [" << start << "," << end << ") overlaps ["
-                              << pos->start << "," << pos->end << ")");
-  }
-  // Merge with touching neighbors to keep the vector compact; list
-  // scheduling produces long runs of back-to-back reservations.
-  auto inserted = busy_.insert(pos, iv);
-  if (inserted != busy_.begin()) {
-    auto prev = inserted - 1;
-    if (inserted->start <= prev->end + kTimeEps) {
-      prev->end = std::max(prev->end, inserted->end);
-      inserted = busy_.erase(inserted) - 1;
-    }
-  }
-  if (inserted + 1 != busy_.end()) {
-    auto next = inserted + 1;
-    if (next->start <= inserted->end + kTimeEps) {
-      inserted->end = std::max(inserted->end, next->end);
-      busy_.erase(next);
-    }
-  }
-}
-
-bool Timeline::is_free(double start, double end) const {
-  const Interval iv{start, end};
-  if (iv.degenerate()) return true;
-  for (auto it = first_blocking(busy_, start); it != busy_.end(); ++it) {
-    if (it->start >= end - kTimeEps) break;
-    if (overlaps(*it, iv)) return false;
-  }
-  return true;
-}
-
-double Timeline::busy_time() const noexcept {
-  double total = 0.0;
-  for (const Interval& iv : busy_) total += iv.duration();
-  return total;
-}
 
 // ----------------------------------------------- gap-indexed timeline
 
@@ -149,16 +69,8 @@ constexpr std::size_t kMinFlush = 16;
 
 }  // namespace
 
-double GapTimeline::next_fit(double ready, double duration) const {
-  OP_REQUIRE(duration >= 0.0, "duration must be non-negative");
-  if (duration <= kTimeEps) return ready;
+double GapTimeline::fit_before_horizon(double ready, double duration) const {
   if (gap_starts_.empty()) return ready;
-  // O(1) fast path for the dominant list-scheduling pattern: a slot at or
-  // beyond the horizon (within tolerance) always starts at `ready` inside
-  // the +inf sentinel gap.  Deferred reservations always end strictly
-  // before the horizon (they split interior gaps), so they cannot block
-  // this path.
-  if (ready >= gap_starts_.back() - kTimeEps) return ready;
   double candidate = ready;
   while (true) {
     // Walk the materialized gaps from the candidate.
@@ -240,6 +152,7 @@ double GapTimeline::next_fit(double ready, double duration) const {
 }
 
 void GapTimeline::reserve(double start, double end) {
+  prof::bump(prof::Counter::kTimelineReserves);
   OP_REQUIRE(end >= start - kTimeEps, "interval end before start");
   if (Interval{start, end}.degenerate()) return;
   if (gap_starts_.empty()) {
@@ -448,49 +361,6 @@ void GapTimeline::flush_pending() {
   hint_ = 0;
 }
 
-// -------------------------------------------- implementation selection
-
-namespace {
-
-TimelineImpl impl_from_env() {
-  const std::string_view env = env::text(env::Knob::kTimeline, "gap");
-  if (env == "reference") return TimelineImpl::kReference;
-  if (env == "gap" || env == "gap-indexed") return TimelineImpl::kGapIndexed;
-  if (env == "calendar") return TimelineImpl::kCalendar;
-  // A typo silently selecting the default would invalidate differential
-  // runs; be loud (but do not throw from a static initializer).
-  std::fprintf(stderr,
-               "oneport: ignoring unknown ONEPORT_TIMELINE value '%.*s' "
-               "(expected 'reference', 'gap' or 'calendar'); "
-               "using gap-indexed\n",
-               static_cast<int>(env.size()), env.data());
-  return TimelineImpl::kGapIndexed;
-}
-
-std::atomic<TimelineImpl>& default_impl_slot() noexcept {
-  static std::atomic<TimelineImpl> slot{impl_from_env()};
-  return slot;
-}
-
-}  // namespace
-
-TimelineImpl default_timeline_impl() noexcept {
-  return default_impl_slot().load(std::memory_order_relaxed);
-}
-
-void set_default_timeline_impl(TimelineImpl impl) noexcept {
-  default_impl_slot().store(impl, std::memory_order_relaxed);
-}
-
-const char* timeline_impl_name(TimelineImpl impl) noexcept {
-  switch (impl) {
-    case TimelineImpl::kReference: return "reference";
-    case TimelineImpl::kGapIndexed: return "gap-indexed";
-    case TimelineImpl::kCalendar: return "calendar";
-  }
-  return "unknown";
-}
-
 // ---------------------------------------------------------- overlays
 
 double TimelineOverlay::next_fit(double ready, double duration) const {
@@ -534,18 +404,6 @@ void TimelineOverlay::add(double start, double end) {
       extras_.begin(), extras_.end(),
       [&iv](const Interval& e) { return e.start < iv.start; });
   extras_.insert(pos, iv);
-}
-
-double earliest_joint_fit(const TimelineOverlay& a, const TimelineOverlay& b,
-                          double ready, double duration) {
-  if (duration <= kTimeEps) return ready;
-  double candidate = ready;
-  while (true) {
-    const double ca = a.next_fit(candidate, duration);
-    const double cb = b.next_fit(ca, duration);
-    if (cb <= ca + kTimeEps) return ca;
-    candidate = cb;
-  }
 }
 
 }  // namespace oneport

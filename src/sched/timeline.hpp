@@ -1,96 +1,39 @@
-// Busy-interval timelines of a single exclusive resource (a processor's
+// Busy-interval timeline of a single exclusive resource (a processor's
 // compute unit, send port, or receive port).
 //
-// Three interchangeable implementations sit behind the same
-// next_fit/reserve/is_free contract:
-//
-//   * Timeline -- the reference implementation: a sorted vector of busy
-//     intervals, scanned linearly from a binary-searched lower bound.
-//     Simple to audit; every other implementation is differentially
-//     tested against it.
-//   * GapTimeline -- the scale implementation: a sorted *free-gap* list
-//     (binary-searchable starts) plus a hinted cursor so the
-//     back-to-back append pattern list scheduling produces costs O(1)
-//     instead of a fresh binary search per reservation.
-//   * CalendarTimeline (sched/calendar_timeline.hpp) -- the middle-insert
-//     implementation: busy intervals clipped into equal-width time
-//     buckets, so reservations landing far from the horizon touch one
-//     bucket instead of shifting a flat vector.
-//
-// TimelineIndex wraps all three behind one concrete type (no virtual
-// dispatch) and is what the EFT engine stores; the active implementation
-// is chosen per instance, defaulting to a process-wide setting that can
-// be overridden with set_default_timeline_impl() or the ONEPORT_TIMELINE
-// environment variable ("reference", "gap" or "calendar").  The index
-// additionally caches the busy horizon so the dominant append-style
-// probe (`ready` at or beyond every reservation) is answered inline
-// without entering the implementation at all.
+// GapTimeline is the one timeline the schedulers use: a sorted *free-gap*
+// list (binary-searchable ends) plus a hinted cursor, so the back-to-back
+// append pattern list scheduling produces costs O(1) instead of a fresh
+// binary search per reservation, and an O(1) horizon fast path answers
+// the dominant probe (`ready` at or beyond every reservation) without a
+// search.  A sorted-busy-vector reference timeline lives in
+// tests/support/reference_timeline.hpp as the differential oracle.
 //
 // The operations supported are the two queries list scheduling needs:
 //   * next_fit(ready, duration): earliest start >= ready of a free slot,
 //     i.e. insertion-based gap search;
 //   * reserve(start, end): mark a slot busy.
-// plus a joint search over two timelines (sender port + receiver port) for
-// scheduling one-port communications, and an overlay mechanism so that
-// heuristics can *tentatively* reserve slots while evaluating a candidate
-// processor without mutating the committed state.
+// plus the one-port joint fit over two timelines (sender port + receiver
+// port), and an overlay mechanism so that heuristics can *tentatively*
+// reserve slots while evaluating a candidate processor without mutating
+// the committed state.
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
-#include "sched/calendar_timeline.hpp"
 #include "sched/interval.hpp"
 #include "util/error.hpp"
 #include "util/profiler.hpp"
 
 namespace oneport {
 
-// ------------------------------------------------- reference timeline
-
-class Timeline {
- public:
-  /// Earliest start >= `ready` such that [start, start+duration) is free.
-  /// duration == 0 always fits at `ready`.
-  [[nodiscard]] double next_fit(double ready, double duration) const;
-
-  /// Marks [start, end) busy.  Throws std::logic_error when the slot
-  /// conflicts with an existing reservation (library bug).  Degenerate
-  /// intervals are ignored.
-  void reserve(double start, double end);
-
-  [[nodiscard]] bool is_free(double start, double end) const;
-
-  /// End of the last busy interval (0 when empty).
-  [[nodiscard]] double horizon() const noexcept {
-    return busy_.empty() ? 0.0 : busy_.back().end;
-  }
-
-  [[nodiscard]] std::span<const Interval> busy() const noexcept {
-    return busy_;
-  }
-  /// Materialized busy intervals -- the common accessor both timeline
-  /// implementations share, so tests can compare them structurally.
-  [[nodiscard]] std::vector<Interval> busy_intervals() const {
-    return {busy_.begin(), busy_.end()};
-  }
-  [[nodiscard]] bool empty() const noexcept { return busy_.empty(); }
-  void clear() noexcept { busy_.clear(); }
-
-  /// Total busy time.
-  [[nodiscard]] double busy_time() const noexcept;
-
- private:
-  // Sorted by start; pairwise non-overlapping (touching allowed; adjacent
-  // reservations are merged to keep the vector short).
-  std::vector<Interval> busy_;
-};
-
 // ----------------------------------------------- gap-indexed timeline
 
-/// Same contract as Timeline, but the state is the complement: the sorted
-/// list of free gaps.  The first gap starts at -infinity and the last gap
-/// ends at +infinity; consecutive gaps are separated by exactly one busy
+/// The state is the complement of the busy set: the sorted list of free
+/// gaps.  The first gap starts at -infinity and the last gap ends at
+/// +infinity; consecutive gaps are separated by exactly one busy
 /// interval, so `gaps_[i].end .. gaps_[i+1].start` *is* the i-th busy
 /// interval.  next_fit/reserve locate the gap covering a time point by
 /// first probing a cursor remembering where the previous reservation
@@ -110,8 +53,30 @@ class Timeline {
 /// from next_fit.  Use one timeline (engine) per thread.
 class GapTimeline {
  public:
-  [[nodiscard]] double next_fit(double ready, double duration) const;
+  /// Earliest start >= `ready` such that [start, start+duration) is free.
+  /// duration == 0 always fits at `ready`; a negative duration throws
+  /// std::invalid_argument.
+  [[nodiscard]] double next_fit(double ready, double duration) const {
+    prof::bump(prof::Counter::kTimelineNextFit);
+    OP_REQUIRE(duration >= 0.0, "duration must be non-negative");
+    if (duration <= kTimeEps) return ready;
+    // O(1) fast path for the dominant list-scheduling pattern, kept inline
+    // so it costs no call: a slot at or beyond the horizon (within
+    // tolerance) always starts at `ready` inside the +inf sentinel gap.
+    // Deferred reservations always end strictly before the horizon (they
+    // split interior gaps), so they cannot block this path.
+    if (ready >= horizon() - kTimeEps) {
+      prof::bump(prof::Counter::kTimelineHorizonHits);
+      return ready;
+    }
+    return fit_before_horizon(ready, duration);
+  }
+
+  /// Marks [start, end) busy.  Throws std::logic_error when the slot
+  /// conflicts with an existing reservation (library bug).  Degenerate
+  /// intervals are ignored.
   void reserve(double start, double end);
+
   [[nodiscard]] bool is_free(double start, double end) const;
 
   // Deferred splits never land in the +inf sentinel gap, so the horizon
@@ -144,6 +109,10 @@ class GapTimeline {
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
  private:
+  /// next_fit for a positive duration and `ready` before the horizon.
+  [[nodiscard]] double fit_before_horizon(double ready,
+                                          double duration) const;
+
   /// Index of the first gap whose end is after `t` (the gap in or after
   /// which a slot starting at or after `t` must begin).  Requires a
   /// non-empty gap list.
@@ -183,131 +152,9 @@ class GapTimeline {
   Stats stats_;
 };
 
-// -------------------------------------------- implementation selection
-
-enum class TimelineImpl {
-  kReference,   ///< sorted busy-interval vector (Timeline)
-  kGapIndexed,  ///< free-gap list with hinted cursor (GapTimeline)
-  kCalendar,    ///< bucketed calendar queue (CalendarTimeline)
-};
-
-/// Process-wide default used by TimelineIndex's default constructor.
-/// Initialized once from the ONEPORT_TIMELINE environment variable
-/// ("reference", "gap" or "calendar"); kGapIndexed when unset.
-[[nodiscard]] TimelineImpl default_timeline_impl() noexcept;
-void set_default_timeline_impl(TimelineImpl impl) noexcept;
-[[nodiscard]] const char* timeline_impl_name(TimelineImpl impl) noexcept;
-
-/// RAII override of the process-wide default, for differential tests and
-/// benchmarks that run both implementations side by side.
-class ScopedTimelineImpl {
- public:
-  explicit ScopedTimelineImpl(TimelineImpl impl)
-      : previous_(default_timeline_impl()) {
-    set_default_timeline_impl(impl);
-  }
-  ~ScopedTimelineImpl() { set_default_timeline_impl(previous_); }
-  ScopedTimelineImpl(const ScopedTimelineImpl&) = delete;
-  ScopedTimelineImpl& operator=(const ScopedTimelineImpl&) = delete;
-
- private:
-  TimelineImpl previous_;
-};
-
-/// The timeline abstraction the scheduling engine stores: one concrete
-/// type dispatching to the implementation chosen at construction.  All
-/// members are cheap empty vectors; only the active one ever grows.
-///
-/// The index caches the busy horizon itself: a probe at or beyond it
-/// (within kTimeEps) provably returns `ready` under every
-/// implementation (no stored interval ends after ready + kTimeEps, so
-/// the reference scan finds no blocker), and list scheduling's dominant
-/// append pattern therefore never pays the dispatch at all.
-class TimelineIndex {
- public:
-  TimelineIndex() : TimelineIndex(default_timeline_impl()) {}
-  explicit TimelineIndex(TimelineImpl impl) : impl_(impl) {}
-
-  [[nodiscard]] double next_fit(double ready, double duration) const {
-    prof::bump(prof::Counter::kTimelineNextFit);
-    OP_REQUIRE(duration >= 0.0, "duration must be non-negative");
-    if (duration <= kTimeEps) return ready;
-    if (ready >= horizon_ - kTimeEps) {
-      prof::bump(prof::Counter::kTimelineHorizonHits);
-      return ready;
-    }
-    switch (impl_) {
-      case TimelineImpl::kReference: return ref_.next_fit(ready, duration);
-      case TimelineImpl::kGapIndexed: return gap_.next_fit(ready, duration);
-      case TimelineImpl::kCalendar: return cal_.next_fit(ready, duration);
-    }
-    return ready;  // unreachable
-  }
-  void reserve(double start, double end) {
-    prof::bump(prof::Counter::kTimelineReserves);
-    switch (impl_) {
-      case TimelineImpl::kReference: ref_.reserve(start, end); break;
-      case TimelineImpl::kGapIndexed: gap_.reserve(start, end); break;
-      case TimelineImpl::kCalendar: cal_.reserve(start, end); break;
-    }
-    // Degenerate reservations are ignored by every implementation and
-    // must not advance the cached horizon.
-    if (end > horizon_ && !Interval{start, end}.degenerate()) horizon_ = end;
-  }
-  [[nodiscard]] bool is_free(double start, double end) const {
-    switch (impl_) {
-      case TimelineImpl::kReference: return ref_.is_free(start, end);
-      case TimelineImpl::kGapIndexed: return gap_.is_free(start, end);
-      case TimelineImpl::kCalendar: return cal_.is_free(start, end);
-    }
-    return true;  // unreachable
-  }
-  [[nodiscard]] double horizon() const noexcept { return horizon_; }
-  [[nodiscard]] bool empty() const noexcept {
-    switch (impl_) {
-      case TimelineImpl::kReference: return ref_.empty();
-      case TimelineImpl::kGapIndexed: return gap_.empty();
-      case TimelineImpl::kCalendar: return cal_.empty();
-    }
-    return true;  // unreachable
-  }
-  void clear() noexcept {
-    horizon_ = 0.0;
-    switch (impl_) {
-      case TimelineImpl::kReference: ref_.clear(); break;
-      case TimelineImpl::kGapIndexed: gap_.clear(); break;
-      case TimelineImpl::kCalendar: cal_.clear(); break;
-    }
-  }
-  [[nodiscard]] double busy_time() const noexcept {
-    switch (impl_) {
-      case TimelineImpl::kReference: return ref_.busy_time();
-      case TimelineImpl::kGapIndexed: return gap_.busy_time();
-      case TimelineImpl::kCalendar: return cal_.busy_time();
-    }
-    return 0.0;  // unreachable
-  }
-  [[nodiscard]] std::vector<Interval> busy_intervals() const {
-    switch (impl_) {
-      case TimelineImpl::kReference: return ref_.busy_intervals();
-      case TimelineImpl::kGapIndexed: return gap_.busy_intervals();
-      case TimelineImpl::kCalendar: return cal_.busy_intervals();
-    }
-    return {};  // unreachable
-  }
-  [[nodiscard]] TimelineImpl impl() const noexcept { return impl_; }
-
- private:
-  TimelineImpl impl_;
-  double horizon_ = 0.0;  ///< end of the last non-degenerate reservation
-  Timeline ref_;
-  GapTimeline gap_;
-  CalendarTimeline cal_;
-};
-
 // ---------------------------------------------------------- overlays
 
-/// A read-only view of a TimelineIndex plus a small set of *pending*
+/// A read-only view of a GapTimeline plus a small set of *pending*
 /// extra reservations, used while evaluating candidate processors.  The
 /// extras are typically the communications tentatively scheduled for
 /// earlier parents of the same task.  Overlays are designed for reuse:
@@ -316,14 +163,14 @@ class TimelineIndex {
 class TimelineOverlay {
  public:
   TimelineOverlay() = default;
-  explicit TimelineOverlay(const TimelineIndex& base)
+  explicit TimelineOverlay(const GapTimeline& base)
       : base_(&base), base_horizon_(base.horizon()) {}
 
   /// Re-points the overlay at `base` and drops the extras, keeping the
   /// allocated capacity.  The base horizon is cached here: during one
   /// evaluation the base is never mutated, so a probe at or beyond both
   /// the base horizon and every extra's end is answered inline.
-  void reset(const TimelineIndex& base) {
+  void reset(const GapTimeline& base) {
     base_ = &base;
     base_horizon_ = base.horizon();
     extras_horizon_ = 0.0;
@@ -337,18 +184,53 @@ class TimelineOverlay {
   }
 
  private:
-  const TimelineIndex* base_ = nullptr;
+  const GapTimeline* base_ = nullptr;
   double base_horizon_ = 0.0;    ///< base->horizon() at reset time
   double extras_horizon_ = 0.0;  ///< max end over the extras
   std::vector<Interval> extras_;  // kept sorted by start
 };
 
-/// Earliest start >= `ready` at which BOTH overlays have [start,
-/// start+duration) free -- the one-port constraint for a transfer that
-/// occupies the sender's send port and the receiver's receive port
-/// simultaneously.
-[[nodiscard]] double earliest_joint_fit(const TimelineOverlay& a,
-                                        const TimelineOverlay& b,
-                                        double ready, double duration);
+// --------------------------------------------------------- joint fit
+
+/// Debug-build cap on joint_fit retries.  The termination argument below
+/// bounds the retries by the receive side's busy-interval count, so a
+/// run reaching this many is a broken next_fit, not a long timeline.
+inline constexpr std::size_t kJointFitMaxRetries = std::size_t{1} << 26;
+
+/// Earliest start >= `ready` at which BOTH `send` and `recv` have
+/// [start, start+duration) free -- the one-port rule: a message holds
+/// the sender's send port and the receiver's receive port at the same
+/// time.  A and B are GapTimeline or TimelineOverlay (anything with
+/// next_fit(ready, duration) returning either `ready` or the end of one
+/// of its busy intervals).
+///
+/// Termination: a round probes `send` at the candidate (ca >= candidate)
+/// and then `recv` at ca (cb >= ca); it returns ca unless cb > ca +
+/// kTimeEps.  So every retry moves the candidate forward by more than
+/// kTimeEps, onto an end of one of `recv`'s busy intervals (base or
+/// extra) lying after the previous candidate -- a different one each
+/// time.  Once the candidate is past both horizons both probes return it
+/// and the loop exits, so there are at most as many retries as `recv`
+/// has busy intervals.  Debug builds assert that bound's constant cap.
+template <class A, class B>
+[[nodiscard]] double joint_fit(const A& send, const B& recv, double ready,
+                               double duration) {
+  if (duration <= kTimeEps) return ready;
+  double candidate = ready;
+#ifndef NDEBUG
+  std::size_t retries = 0;
+#endif
+  while (true) {
+    const double ca = send.next_fit(candidate, duration);
+    const double cb = recv.next_fit(ca, duration);
+    if (cb <= ca + kTimeEps) return ca;
+#ifndef NDEBUG
+    OP_ASSERT(++retries < kJointFitMaxRetries,
+              "joint_fit made " << retries << " retries from ready=" << ready
+                                << " duration=" << duration);
+#endif
+    candidate = cb;
+  }
+}
 
 }  // namespace oneport

@@ -34,17 +34,15 @@ namespace oneport::prof {
 
 /// The counter catalog.  Keep counter_names() in sync.
 enum class Counter : std::uint32_t {
-  kTimelineNextFit = 0,    ///< TimelineIndex::next_fit probes
+  kTimelineNextFit = 0,    ///< GapTimeline::next_fit probes
   kTimelineHorizonHits,    ///< probes answered by the O(1) horizon fast path
-  kTimelineReserves,       ///< TimelineIndex::reserve commits
+  kTimelineReserves,       ///< GapTimeline::reserve calls
   kOverlayResets,          ///< evaluation-epoch overlay invalidations
   kPruneEvals,             ///< candidate processors actually evaluated
   kPruneSkips,             ///< candidates pruned by the finish lower bound
   kEngineCommits,          ///< EftEngine::commit calls
   kGapDeferredInserts,     ///< GapTimeline middle inserts buffered
   kGapFlushes,             ///< GapTimeline deferred-buffer compactions
-  kCalendarRebuilds,       ///< CalendarTimeline bucket-array rebuilds
-  kCalendarShifts,         ///< CalendarTimeline in-bucket segment shifts
   kPoolTasks,              ///< thread-pool jobs executed
   kPoolTaskNanos,          ///< total wall nanoseconds inside pool jobs
   kServiceRequests,        ///< scheduler-service requests completed

@@ -1,26 +1,35 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "core/registry.hpp"
+#include "dynamic/events.hpp"
+#include "dynamic/reschedule.hpp"
 #include "sched/timeline.hpp"
+#include "support/reference_timeline.hpp"
+#include "support/scenario.hpp"
 #include "util/rng.hpp"
 
 namespace oneport {
 namespace {
 
-// Every contract test below runs against ALL timeline implementations:
-// the reference sorted-busy-vector (Timeline), the gap-indexed free
-// list (GapTimeline), and the bucketed calendar queue (CalendarTimeline).
+using testsupport::ReferenceTimeline;
+
+// Every contract test below runs against both the production GapTimeline
+// and the test-only ReferenceTimeline oracle (a sorted busy vector).
 // They must agree not just on semantics but on the exact doubles they
-// return -- the property sweep relies on bit-identical schedules from
-// every implementation.
+// return: the oracle replay at the end of this file feeds real schedules'
+// reservations to both and compares every answer bitwise.
 template <typename T>
 class TimelineContractTest : public ::testing::Test {};
 
-using TimelineImpls = ::testing::Types<Timeline, GapTimeline, CalendarTimeline>;
-TYPED_TEST_SUITE(TimelineContractTest, TimelineImpls);
+using TimelineTypes = ::testing::Types<ReferenceTimeline, GapTimeline>;
+TYPED_TEST_SUITE(TimelineContractTest, TimelineTypes);
 
 TYPED_TEST(TimelineContractTest, EmptyFitsAnywhere) {
   TypeParam t;
@@ -173,49 +182,37 @@ TEST(Interval, OverlapSemantics) {
 
 // ----------------------------------------------- differential fuzzing
 
-/// Drives all three implementations through an identical random op
-/// sequence and demands exactly equal answers and busy structures at
-/// every step.
+/// Drives the gap timeline and the reference oracle through an identical
+/// random op sequence and demands exactly equal answers and busy
+/// structures at every step.
 class TimelineDifferentialTest
     : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(TimelineDifferentialTest, ImplementationsAgreeExactly) {
   SplitMix64 rng(GetParam());
-  Timeline reference;
+  ReferenceTimeline reference;
   GapTimeline gap;
-  CalendarTimeline calendar;
   for (int i = 0; i < 400; ++i) {
     const double ready = rng.uniform(0.0, 60.0);
     const double duration =
         rng.below(8) == 0 ? 0.0 : rng.uniform(0.0, 4.0);
     const double fit_ref = reference.next_fit(ready, duration);
     const double fit_gap = gap.next_fit(ready, duration);
-    const double fit_cal = calendar.next_fit(ready, duration);
     ASSERT_EQ(fit_ref, fit_gap)  // bitwise: no tolerance
-        << "step " << i << " ready=" << ready << " duration=" << duration;
-    ASSERT_EQ(fit_ref, fit_cal)
         << "step " << i << " ready=" << ready << " duration=" << duration;
     const double probe_end = ready + rng.uniform(0.0, 5.0);
     ASSERT_EQ(reference.is_free(ready, probe_end),
               gap.is_free(ready, probe_end))
         << "step " << i;
-    ASSERT_EQ(reference.is_free(ready, probe_end),
-              calendar.is_free(ready, probe_end))
-        << "step " << i;
     if (rng.below(3) != 0) {  // reserve the found slot 2/3 of the time
       reference.reserve(fit_ref, fit_ref + duration);
       gap.reserve(fit_gap, fit_gap + duration);
-      calendar.reserve(fit_cal, fit_cal + duration);
     }
     ASSERT_EQ(reference.busy_intervals(), gap.busy_intervals())
         << "step " << i;
-    ASSERT_EQ(reference.busy_intervals(), calendar.busy_intervals())
-        << "step " << i;
     ASSERT_EQ(reference.horizon(), gap.horizon()) << "step " << i;
-    ASSERT_EQ(reference.horizon(), calendar.horizon()) << "step " << i;
   }
   EXPECT_NEAR(reference.busy_time(), gap.busy_time(), 1e-9);
-  EXPECT_NEAR(reference.busy_time(), calendar.busy_time(), 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TimelineDifferentialTest,
@@ -225,7 +222,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TimelineDifferentialTest,
 // --------------------------------------------------------- overlays
 
 TEST(TimelineOverlay, SeesBaseAndExtras) {
-  TimelineIndex base;
+  GapTimeline base;
   base.reserve(0.0, 2.0);
   TimelineOverlay overlay(base);
   overlay.add(3.0, 5.0);
@@ -235,7 +232,7 @@ TEST(TimelineOverlay, SeesBaseAndExtras) {
 }
 
 TEST(TimelineOverlay, ExtrasDoNotMutateBase) {
-  TimelineIndex base;
+  GapTimeline base;
   TimelineOverlay overlay(base);
   overlay.add(0.0, 4.0);
   EXPECT_TRUE(base.empty());
@@ -244,7 +241,7 @@ TEST(TimelineOverlay, ExtrasDoNotMutateBase) {
 }
 
 TEST(TimelineOverlay, UnsortedAddsHandled) {
-  TimelineIndex base;
+  GapTimeline base;
   TimelineOverlay overlay(base);
   overlay.add(6.0, 8.0);
   overlay.add(0.0, 2.0);
@@ -254,7 +251,7 @@ TEST(TimelineOverlay, UnsortedAddsHandled) {
 }
 
 TEST(TimelineOverlay, ResetKeepsViewFreshAcrossBases) {
-  TimelineIndex first, second;
+  GapTimeline first, second;
   first.reserve(0.0, 10.0);
   TimelineOverlay overlay(first);
   overlay.add(12.0, 14.0);
@@ -265,7 +262,7 @@ TEST(TimelineOverlay, ResetKeepsViewFreshAcrossBases) {
 }
 
 TEST(TimelineOverlay, ManyExtrasOrderedPass) {
-  TimelineIndex base;
+  GapTimeline base;
   base.reserve(0.0, 1.0);
   TimelineOverlay overlay(base);
   for (int i = 1; i <= 50; ++i) {  // extras [2i, 2i+1): unit holes between
@@ -278,69 +275,146 @@ TEST(TimelineOverlay, ManyExtrasOrderedPass) {
 
 // --------------------------------------------------------- joint fit
 
-TEST(JointFit, BothFreeImmediately) {
-  TimelineIndex a, b;
-  TimelineOverlay oa(a), ob(b);
-  EXPECT_DOUBLE_EQ(earliest_joint_fit(oa, ob, 1.0, 2.0), 1.0);
-}
-
-TEST(JointFit, AlternatingBusySlots) {
-  // a busy [0,2), b busy [2,4): the first joint 1-slot is at 4.
-  TimelineIndex a, b;
-  a.reserve(0.0, 2.0);
-  b.reserve(2.0, 4.0);
-  TimelineOverlay oa(a), ob(b);
-  EXPECT_DOUBLE_EQ(earliest_joint_fit(oa, ob, 0.0, 1.0), 4.0);
-}
-
-TEST(JointFit, FindsSharedHole) {
-  TimelineIndex a, b;
-  a.reserve(0.0, 1.0);
-  a.reserve(4.0, 6.0);
-  b.reserve(0.0, 2.0);
-  b.reserve(5.0, 7.0);
-  TimelineOverlay oa(a), ob(b);
-  // Shared holes: [2,4) then [7,inf); a 2-slot fits at 2.
-  EXPECT_DOUBLE_EQ(earliest_joint_fit(oa, ob, 0.0, 2.0), 2.0);
-  EXPECT_DOUBLE_EQ(earliest_joint_fit(oa, ob, 0.0, 3.0), 7.0);
-}
-
-TEST(JointFit, ZeroDuration) {
-  TimelineIndex a, b;
-  a.reserve(0.0, 5.0);
-  TimelineOverlay oa(a), ob(b);
-  EXPECT_DOUBLE_EQ(earliest_joint_fit(oa, ob, 3.0, 0.0), 3.0);
-}
-
-// ------------------------------------------- implementation selection
-
-TEST(TimelineIndexSelection, ScopedOverrideRoundTrips) {
-  const TimelineImpl before = default_timeline_impl();
-  {
-    ScopedTimelineImpl guard(TimelineImpl::kReference);
-    EXPECT_EQ(default_timeline_impl(), TimelineImpl::kReference);
-    EXPECT_EQ(TimelineIndex().impl(), TimelineImpl::kReference);
-    {
-      ScopedTimelineImpl inner(TimelineImpl::kGapIndexed);
-      EXPECT_EQ(TimelineIndex().impl(), TimelineImpl::kGapIndexed);
-    }
-    EXPECT_EQ(default_timeline_impl(), TimelineImpl::kReference);
+/// Builds an overlay over `base` from a busy list: even-indexed intervals
+/// are reserved in the base, odd-indexed ones added as extras, so probes
+/// cross both the base and the extras paths.  `base` must be empty and
+/// outlive the overlay.
+TimelineOverlay split_overlay(GapTimeline& base,
+                              const std::vector<Interval>& busy) {
+  for (std::size_t i = 0; i < busy.size(); i += 2) {
+    base.reserve(busy[i].start, busy[i].end);
   }
-  EXPECT_EQ(default_timeline_impl(), before);
-  EXPECT_STREQ(timeline_impl_name(TimelineImpl::kReference), "reference");
-  EXPECT_STREQ(timeline_impl_name(TimelineImpl::kGapIndexed),
-               "gap-indexed");
-  EXPECT_STREQ(timeline_impl_name(TimelineImpl::kCalendar), "calendar");
+  TimelineOverlay overlay(base);  // caches the base horizon: reserve first
+  for (std::size_t i = 1; i < busy.size(); i += 2) {
+    overlay.add(busy[i].start, busy[i].end);
+  }
+  return overlay;
 }
 
-TEST(TimelineIndexSelection, ExplicitImplIgnoresDefault) {
-  ScopedTimelineImpl guard(TimelineImpl::kReference);
-  TimelineIndex gap(TimelineImpl::kGapIndexed);
-  gap.reserve(0.0, 2.0);
-  EXPECT_EQ(gap.impl(), TimelineImpl::kGapIndexed);
-  EXPECT_DOUBLE_EQ(gap.next_fit(0.0, 1.0), 2.0);
-  EXPECT_DOUBLE_EQ(gap.horizon(), 2.0);
-  EXPECT_EQ(gap.busy_intervals().size(), 1u);
+/// The (send, recv) type pairings joint_fit is instantiated with in the
+/// scheduler: the EFT engine's overlay-free fast path probes a committed
+/// send timeline against a receive overlay, its general path two
+/// overlays.  Each pairing builds its operands from busy lists.
+struct GapSendOverlayRecv {
+  static double fit(const std::vector<Interval>& send,
+                    const std::vector<Interval>& recv, double ready,
+                    double duration) {
+    GapTimeline s;
+    for (const Interval& iv : send) s.reserve(iv.start, iv.end);
+    GapTimeline r_base;
+    const TimelineOverlay r = split_overlay(r_base, recv);
+    return joint_fit(s, r, ready, duration);
+  }
+};
+
+struct OverlaySendOverlayRecv {
+  static double fit(const std::vector<Interval>& send,
+                    const std::vector<Interval>& recv, double ready,
+                    double duration) {
+    GapTimeline s_base;
+    GapTimeline r_base;
+    const TimelineOverlay s = split_overlay(s_base, send);
+    const TimelineOverlay r = split_overlay(r_base, recv);
+    return joint_fit(s, r, ready, duration);
+  }
+};
+
+template <typename P>
+class JointFit : public ::testing::Test {};
+
+using JointFitPairings =
+    ::testing::Types<GapSendOverlayRecv, OverlaySendOverlayRecv>;
+TYPED_TEST_SUITE(JointFit, JointFitPairings);
+
+TYPED_TEST(JointFit, BothFreeImmediately) {
+  EXPECT_DOUBLE_EQ(TypeParam::fit({}, {}, 1.0, 2.0), 1.0);
+}
+
+TYPED_TEST(JointFit, AlternatingBusySlots) {
+  // a busy [0,2), b busy [2,4): the first joint 1-slot is at 4.
+  EXPECT_DOUBLE_EQ(TypeParam::fit({{0.0, 2.0}}, {{2.0, 4.0}}, 0.0, 1.0),
+                   4.0);
+}
+
+TYPED_TEST(JointFit, FindsSharedHole) {
+  const std::vector<Interval> a = {{0.0, 1.0}, {4.0, 6.0}};
+  const std::vector<Interval> b = {{0.0, 2.0}, {5.0, 7.0}};
+  // Shared holes: [2,4) then [7,inf); a 2-slot fits at 2.
+  EXPECT_DOUBLE_EQ(TypeParam::fit(a, b, 0.0, 2.0), 2.0);
+  EXPECT_DOUBLE_EQ(TypeParam::fit(a, b, 0.0, 3.0), 7.0);
+}
+
+TYPED_TEST(JointFit, ZeroDuration) {
+  EXPECT_DOUBLE_EQ(TypeParam::fit({{0.0, 5.0}}, {}, 3.0, 0.0), 3.0);
+}
+
+/// Earliest t >= ready with [t, t+duration) free on both oracles, by
+/// brute force: a feasible start can always slide left onto `ready` or
+/// onto the end of a busy interval, so those are the only candidates.
+double brute_force_joint_fit(const std::vector<Interval>& a,
+                             const std::vector<Interval>& b, double ready,
+                             double duration) {
+  ReferenceTimeline ra;
+  ReferenceTimeline rb;
+  for (const Interval& iv : a) ra.reserve(iv.start, iv.end);
+  for (const Interval& iv : b) rb.reserve(iv.start, iv.end);
+  std::vector<double> candidates = {ready};
+  for (const std::vector<Interval>* busy : {&a, &b}) {
+    for (const Interval& iv : *busy) {
+      if (iv.end >= ready) candidates.push_back(iv.end);
+    }
+  }
+  std::sort(candidates.begin(), candidates.end());
+  for (const double t : candidates) {
+    if (ra.is_free(t, t + duration) && rb.is_free(t, t + duration)) return t;
+  }
+  ADD_FAILURE() << "no joint slot found past the horizons";
+  return -1.0;
+}
+
+/// Interleaved busy combs force one retry per tooth: each send gap sits
+/// under a receive busy slot until the single shared hole deep in the
+/// timelines.  A seeded random pair then checks arbitrary interleavings.
+/// Every answer must equal the brute-force reference.
+TYPED_TEST(JointFit, InterleavedSlotsMatchBruteForce) {
+  std::vector<Interval> a;
+  std::vector<Interval> b;
+  for (int i = 0; i < 200; ++i) {
+    a.push_back({2.0 * i, 2.0 * i + 1.0});
+    if (i != 150) b.push_back({2.0 * i + 1.0, 2.0 * i + 2.0});
+  }
+  EXPECT_EQ(TypeParam::fit(a, b, 0.0, 0.9), 301.0);
+  EXPECT_EQ(TypeParam::fit(a, b, 0.0, 0.9),
+            brute_force_joint_fit(a, b, 0.0, 0.9));
+  EXPECT_EQ(TypeParam::fit(a, b, 0.0, 1.5), 400.0);  // past both horizons
+  EXPECT_EQ(TypeParam::fit(a, b, 0.0, 1.5),
+            brute_force_joint_fit(a, b, 0.0, 1.5));
+
+  SplitMix64 rng(20261017);
+  for (int round = 0; round < 20; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    // Dense random busy sets built through the oracle, so they are
+    // disjoint and merged exactly as a real timeline would hold them.
+    ReferenceTimeline ra;
+    ReferenceTimeline rb;
+    for (int i = 0; i < 120; ++i) {
+      const double da = rng.uniform(0.2, 2.0);
+      const double sa = ra.next_fit(rng.uniform(0.0, 200.0), da);
+      ra.reserve(sa, sa + da);
+      const double db = rng.uniform(0.2, 2.0);
+      const double sb = rb.next_fit(rng.uniform(0.0, 200.0), db);
+      rb.reserve(sb, sb + db);
+    }
+    const std::vector<Interval> ba = ra.busy_intervals();
+    const std::vector<Interval> bb = rb.busy_intervals();
+    for (int q = 0; q < 10; ++q) {
+      const double ready = rng.uniform(0.0, 200.0);
+      const double duration = rng.uniform(0.05, 1.5);
+      EXPECT_EQ(TypeParam::fit(ba, bb, ready, duration),
+                brute_force_joint_fit(ba, bb, ready, duration))
+          << "ready=" << ready << " duration=" << duration;
+    }
+  }
 }
 
 // --------------------------------------------------------- properties
@@ -368,9 +442,8 @@ void next_fit_slots_always_reservable(std::uint64_t seed) {
 }
 
 TEST_P(TimelinePropertyTest, NextFitSlotsAreAlwaysReservable) {
-  next_fit_slots_always_reservable<Timeline>(GetParam());
+  next_fit_slots_always_reservable<ReferenceTimeline>(GetParam());
   next_fit_slots_always_reservable<GapTimeline>(GetParam());
-  next_fit_slots_always_reservable<CalendarTimeline>(GetParam());
 }
 
 /// Busy intervals stay sorted and disjoint on both implementations.
@@ -390,9 +463,8 @@ void invariant_sorted_disjoint(std::uint64_t seed) {
 }
 
 TEST_P(TimelinePropertyTest, InvariantSortedDisjoint) {
-  invariant_sorted_disjoint<Timeline>(GetParam());
+  invariant_sorted_disjoint<ReferenceTimeline>(GetParam());
   invariant_sorted_disjoint<GapTimeline>(GetParam());
-  invariant_sorted_disjoint<CalendarTimeline>(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TimelinePropertyTest,
@@ -418,13 +490,11 @@ class TimelineMiddleInsertTest
 
 TEST_P(TimelineMiddleInsertTest, RandomMiddleInsertsAgreeWithReference) {
   SplitMix64 rng(GetParam());
-  Timeline reference;
+  ReferenceTimeline reference;
   GapTimeline gap;
-  CalendarTimeline calendar;
   const int blocks = 600;
   lay_down_blocks(reference, blocks);
   lay_down_blocks(gap, blocks);
-  lay_down_blocks(calendar, blocks);
 
   // Visit the interior gaps in a random order and drop a sliver strictly
   // inside each: every insert splits a gap far from the tail.
@@ -441,35 +511,23 @@ TEST_P(TimelineMiddleInsertTest, RandomMiddleInsertsAgreeWithReference) {
     const double end = start + rng.uniform(0.2, 0.8);
     reference.reserve(start, end);
     gap.reserve(start, end);
-    calendar.reserve(start, end);
     // Interleave queries so absorption runs against a hot buffer.
     const double ready = rng.uniform(0.0, 4.0 * blocks);
     const double duration = rng.uniform(0.0, 2.0);
     ASSERT_EQ(reference.next_fit(ready, duration),
               gap.next_fit(ready, duration))
         << "step " << step;
-    ASSERT_EQ(reference.next_fit(ready, duration),
-              calendar.next_fit(ready, duration))
-        << "step " << step;
     ASSERT_EQ(reference.is_free(start - 0.1, end),
               gap.is_free(start - 0.1, end))
-        << "step " << step;
-    ASSERT_EQ(reference.is_free(start - 0.1, end),
-              calendar.is_free(start - 0.1, end))
         << "step " << step;
     if (step % 64 == 0) {
       ASSERT_EQ(reference.busy_intervals(), gap.busy_intervals())
           << "step " << step;
-      ASSERT_EQ(reference.busy_intervals(), calendar.busy_intervals())
-          << "step " << step;
     }
   }
   EXPECT_EQ(reference.busy_intervals(), gap.busy_intervals());
-  EXPECT_EQ(reference.busy_intervals(), calendar.busy_intervals());
   EXPECT_NEAR(reference.busy_time(), gap.busy_time(), 1e-9);
-  EXPECT_NEAR(reference.busy_time(), calendar.busy_time(), 1e-9);
   EXPECT_EQ(reference.horizon(), gap.horizon());
-  EXPECT_EQ(reference.horizon(), calendar.horizon());
   // The pattern must actually have exercised the buffer.
   EXPECT_GT(gap.stats().deferred_inserts, 0u);
 }
@@ -516,6 +574,192 @@ TEST(TimelineMiddleInsert, BufferFlushesBeforeGrowingQuadratic) {
   // The result is still exactly right: blocks and slivers alternate.
   const std::vector<Interval> busy = gap.busy_intervals();
   ASSERT_EQ(busy.size(), static_cast<std::size_t>(2 * blocks - 1));
+}
+
+// ------------------------------------------------ oracle replay
+
+// The reservations of real schedules, replayed into the gap timeline and
+// the reference oracle side by side.  Every exclusive resource gets one
+// stream: each processor's compute slots, and -- for one-port schedules
+// -- each processor's send and receive port, one slot per message (live
+// and, for dynamic runs, stale).  Before each reservation both timelines
+// answer next_fit at the slot's real ready time (the source task's
+// finish for a message, the latest predecessor finish for a task) and
+// is_free over the slot; after it, their busy_intervals must match.
+// Every stream is replayed in start order and in a seeded shuffle, so
+// the gap timeline's middle inserts and deferred-buffer flushes run too.
+
+/// One reservation of a real schedule plus the ready time of its probe.
+struct Slot {
+  double start = 0.0;
+  double finish = 0.0;
+  double ready = 0.0;
+};
+
+/// One stream per exclusive resource of `schedule`: each processor's
+/// compute slots, then (one-port only) each send port and each receive
+/// port, with one slot per live or `stale` message.
+std::vector<std::vector<Slot>> streams_of(
+    const TaskGraph& graph, const Schedule& schedule,
+    const std::vector<CommPlacement>& stale, int processors, bool one_port) {
+  const auto p = static_cast<std::size_t>(processors);
+  std::vector<std::vector<Slot>> streams(one_port ? 3 * p : p);
+  for (TaskId v = 0; v < schedule.num_tasks(); ++v) {
+    const TaskPlacement& t = schedule.task(v);
+    double ready = 0.0;
+    for (const EdgeRef& e : graph.predecessors(v)) {
+      ready = std::max(ready, schedule.task(e.task).finish);
+    }
+    streams[static_cast<std::size_t>(t.proc)].push_back(
+        {t.start, t.finish, ready});
+  }
+  if (!one_port) return streams;
+  const auto add_message = [&](const CommPlacement& c) {
+    const Slot slot{c.start, c.finish, schedule.task(c.src).finish};
+    streams[p + static_cast<std::size_t>(c.from)].push_back(slot);
+    streams[2 * p + static_cast<std::size_t>(c.to)].push_back(slot);
+  };
+  for (const CommPlacement& c : schedule.comms()) add_message(c);
+  for (const CommPlacement& c : stale) add_message(c);
+  return streams;
+}
+
+/// Replays `stream` into both timelines, asserting bitwise agreement at
+/// every step; accumulates the gap timeline's buffer statistics.
+void replay_against_oracle(const std::vector<Slot>& stream,
+                           GapTimeline::Stats& totals) {
+  ReferenceTimeline reference;
+  GapTimeline gap;
+  for (std::size_t k = 0; k < stream.size(); ++k) {
+    const Slot& s = stream[k];
+    const double duration = s.finish - s.start;
+    ASSERT_EQ(reference.next_fit(s.ready, duration),
+              gap.next_fit(s.ready, duration))
+        << "step " << k << " ready=" << s.ready << " duration=" << duration;
+    ASSERT_EQ(reference.is_free(s.start, s.finish),
+              gap.is_free(s.start, s.finish))
+        << "step " << k;
+    reference.reserve(s.start, s.finish);
+    gap.reserve(s.start, s.finish);
+    ASSERT_EQ(reference.busy_intervals(), gap.busy_intervals())
+        << "step " << k;
+  }
+  totals.deferred_inserts += gap.stats().deferred_inserts;
+  totals.flushes += gap.stats().flushes;
+}
+
+/// Replays every stream in start order and in a seeded shuffle.
+void replay_streams(const std::vector<std::vector<Slot>>& streams,
+                    std::uint64_t seed, GapTimeline::Stats& totals) {
+  SplitMix64 rng(seed);
+  for (std::vector<Slot> stream : streams) {
+    std::sort(stream.begin(), stream.end(), [](const Slot& a, const Slot& b) {
+      if (a.start != b.start) return a.start < b.start;
+      return a.finish < b.finish;
+    });
+    replay_against_oracle(stream, totals);
+    if (::testing::Test::HasFatalFailure()) return;
+    for (std::size_t i = stream.size(); i > 1; --i) {
+      std::swap(stream[i - 1], stream[rng.below(i)]);
+    }
+    replay_against_oracle(stream, totals);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+bool is_one_port(const SchedulerEntry& entry) {
+  return entry.name.find("oneport") != std::string::npos;
+}
+
+/// Much larger DAGs on fewer processors than the sweep defaults: their
+/// streams hold hundreds of busy intervals, long enough for shuffled
+/// replays to defer middle inserts and flush the buffer.
+testsupport::ScenarioOptions long_stream_options(int min_layers,
+                                                 int max_layers) {
+  testsupport::ScenarioOptions options;
+  options.max_processors = 3;
+  options.min_layers = min_layers;
+  options.max_layers = max_layers;
+  options.max_width = 12;
+  return options;
+}
+
+void append(std::vector<testsupport::Scenario>& scenarios,
+            std::vector<testsupport::Scenario> more) {
+  for (testsupport::Scenario& scenario : more) {
+    scenarios.push_back(std::move(scenario));
+  }
+}
+
+TEST(TimelineOracleReplay, StaticSchedulesAgreeWithReference) {
+  std::vector<testsupport::Scenario> scenarios =
+      testsupport::scenario_sweep(8087, 8);
+  append(scenarios, testsupport::edge_case_scenarios());
+  append(scenarios, testsupport::routed_scenario_sweep(9091, 10));
+  append(scenarios, testsupport::workload_scenario_sweep(9191, 4));
+  const testsupport::ScenarioOptions long_streams =
+      long_stream_options(150, 200);
+  append(scenarios, testsupport::scenario_sweep(8095, 2, long_streams));
+  append(scenarios, testsupport::routed_scenario_sweep(9101, 2, long_streams));
+  GapTimeline::Stats totals;
+  for (const testsupport::Scenario& scenario : scenarios) {
+    const SchedulerConfig config{.ilha_chunk_size = 5,
+                                 .routing = scenario.routing_ptr()};
+    for (const SchedulerEntry& entry : builtin_schedulers(config)) {
+      SCOPED_TRACE(scenario.description + " scheduler=" + entry.name);
+      replay_streams(
+          streams_of(scenario.graph,
+                     entry.run(scenario.graph, scenario.platform), {},
+                     scenario.platform.num_processors(), is_one_port(entry)),
+          scenario.seed, totals);
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GT(totals.deferred_inserts, 0u);
+  EXPECT_GT(totals.flushes, 0u);
+}
+
+TEST(TimelineOracleReplay, DynamicSchedulesAgreeWithReference) {
+  std::vector<testsupport::Scenario> scenarios =
+      testsupport::scenario_sweep(8187, 4);
+  append(scenarios, testsupport::routed_scenario_sweep(9191, 5));
+  // Every event re-seeds the timelines with the frozen prefix, so
+  // smaller DAGs than the static test's already give long streams.
+  append(scenarios,
+         testsupport::scenario_sweep(8195, 1, long_stream_options(100, 130)));
+  GapTimeline::Stats totals;
+  std::size_t stale = 0;
+  for (const testsupport::Scenario& scenario : scenarios) {
+    const SchedulerConfig config{.ilha_chunk_size = 5,
+                                 .routing = scenario.routing_ptr()};
+    for (const SchedulerEntry& entry : builtin_schedulers(config)) {
+      const Schedule initial = entry.run(scenario.graph, scenario.platform);
+      for (const char* trace_name :
+           {"slowdown", "dropout", "mixed", "arrival"}) {
+        SCOPED_TRACE(scenario.description + " scheduler=" + entry.name +
+                     " trace=" + std::string(trace_name));
+        const dyn::EventTrace trace =
+            dyn::make_named_trace(trace_name, scenario.graph,
+                                  scenario.platform, initial, scenario.seed);
+        dyn::DynamicOptions options;
+        options.model = is_one_port(entry) ? CommModel::kOnePort
+                                           : CommModel::kMacroDataflow;
+        const dyn::DynamicResult result =
+            dyn::run_dynamic(scenario.graph, scenario.platform, entry.name,
+                             config, trace, options);
+        stale += result.stale_comms.size();
+        replay_streams(
+            streams_of(scenario.graph, result.schedule, result.stale_comms,
+                       scenario.platform.num_processors(),
+                       is_one_port(entry)),
+            scenario.seed, totals);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+  EXPECT_GT(stale, 0u);
+  EXPECT_GT(totals.deferred_inserts, 0u);
+  EXPECT_GT(totals.flushes, 0u);
 }
 
 }  // namespace
