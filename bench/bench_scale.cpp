@@ -44,6 +44,7 @@
 
 #include "analysis/experiment.hpp"
 #include "analysis/metrics.hpp"
+#include "analysis/topology_cache.hpp"
 #include "core/heft.hpp"
 #include "exact/branch_bound.hpp"
 #include "graph/dot_export.hpp"
@@ -207,7 +208,7 @@ void register_routed_benchmarks() {
               // The process-wide cache shares one platform + table per
               // (topology, seed) across all registered benches.
               const std::shared_ptr<const RoutedPlatform> shared =
-                  analysis::shared_topology_platform(
+                  analysis::process_topology_cache().get(
                       t.topology, paper_platform().cycle_times(),
                       /*link=*/1.0, t.seed);
               const RoutedPlatform& routed = *shared;

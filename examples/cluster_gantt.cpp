@@ -41,6 +41,7 @@ Platform make_two_rack_cluster() {
 
 int main(int argc, char** argv) {
   const Args args(argc, argv);
+  args.require_known({"seed", "layers", "width", "c", "out"});
   testbeds::RandomDagOptions options;
   options.seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
   options.layers = args.get_int("layers", 10);

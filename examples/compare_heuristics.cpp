@@ -19,6 +19,7 @@ using namespace oneport;
 
 int main(int argc, char** argv) {
   const Args args(argc, argv);
+  args.require_known({"testbed", "n", "c", "b"});
   const std::string testbed_name = args.get("testbed", "LU");
   const int n = args.get_int("n", 100);
   const double c = args.get_double("c", 10.0);
@@ -37,7 +38,7 @@ int main(int argc, char** argv) {
       {"scheduler", "model", "makespan", "ratio", "messages", "valid"});
   for (const SchedulerEntry& entry : builtin_schedulers(chunk)) {
     const Schedule schedule = entry.run(graph, platform);
-    const bool one_port = entry.name.find("oneport") != std::string::npos;
+    const bool one_port = entry.model == CommModel::kOnePort;
     const ValidationResult check =
         one_port ? validate_one_port(schedule, graph, platform)
                  : validate_macro_dataflow(schedule, graph, platform);

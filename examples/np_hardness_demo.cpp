@@ -25,7 +25,7 @@ std::vector<std::int64_t> parse_values(const std::string& csv) {
   std::istringstream iss(csv);
   std::string item;
   while (std::getline(iss, item, ',')) {
-    values.push_back(std::stoll(item));
+    values.push_back(parse_number<std::int64_t>(item, "--values"));
   }
   require(!values.empty(), "need at least one value");
   return values;
@@ -35,6 +35,7 @@ std::vector<std::int64_t> parse_values(const std::string& csv) {
 
 int main(int argc, char** argv) {
   const Args args(argc, argv);
+  args.require_known({"values"});
   const std::vector<std::int64_t> values =
       parse_values(args.get("values", "3,1,1,2,2,1"));
 

@@ -22,6 +22,7 @@ using namespace oneport;
 
 int main(int argc, char** argv) {
   const Args args(argc, argv);
+  args.require_known({"testbed", "n", "c"});
   const std::string testbed_name = args.get("testbed", "LAPLACE");
   const int n = args.get_int("n", 24);
   const double c = args.get_double("c", 4.0);

@@ -5,7 +5,7 @@
 //
 // Usage:
 //   service_cli [--requests=200 | --seconds=2]
-//               [--shards=0] [--queue-depth=0] [--batch=0]
+//               [--shards=0] [--queue-depth=256] [--batch=8]
 //               [--backpressure=block|reject]
 //               [--testbeds=LU,FORK-JOIN,STENCIL] [--sizes=20,40,80]
 //               [--schedulers=heft-oneport,ilha-oneport]
@@ -15,8 +15,9 @@
 // sizes x schedulers axes, so a replay is reproducible: the same seed
 // submits the same requests in the same order.  --requests replays a
 // fixed count; --seconds instead submits closed-loop until the deadline
-// (the CI smoke mode).  Zero-argument knobs fall through to the
-// ONEPORT_SERVICE_* environment defaults (docs/KNOBS.md).  Under
+// (the CI smoke mode).  A service flag left out keeps its
+// ServiceOptions default; --shards=0 means one shard per hardware
+// thread.  Under
 // --backpressure=reject, rejected submissions honor the ticket's
 // retry-after hint and resubmit, so every generated request eventually
 // completes and the reported throughput is the service's, not the
@@ -57,7 +58,7 @@ std::vector<std::string> split_list(const std::string& csv_list) {
 std::vector<int> split_ints(const std::string& csv_list) {
   std::vector<int> out;
   for (const std::string& item : split_list(csv_list)) {
-    const int value = std::atoi(item.c_str());
+    const int value = parse_number<int>(item, "--sizes");
     ensure(value > 0, "sizes must be positive integers, got '" + item + "'");
     out.push_back(value);
   }
@@ -136,10 +137,13 @@ void write_json(std::ostream& os, const service::SchedulerService& svc,
 
 int run(int argc, char** argv) {
   const Args args(argc, argv);
+  args.require_known({"help", "requests", "seconds", "shards", "queue-depth",
+                      "batch", "backpressure", "testbeds", "sizes",
+                      "schedulers", "seed", "no-validate", "json", "quiet"});
   if (args.has("help")) {
     std::cout
         << "usage: service_cli [--requests=200 | --seconds=S]\n"
-           "                   [--shards=0] [--queue-depth=0] [--batch=0]\n"
+           "                   [--shards=0] [--queue-depth=256] [--batch=8]\n"
            "                   [--backpressure=block|reject]\n"
            "                   [--testbeds=LU,FORK-JOIN,STENCIL]\n"
            "                   [--sizes=20,40,80]\n"
@@ -151,9 +155,10 @@ int run(int argc, char** argv) {
            "requests through the scheduler service and reports\n"
            "schedules/sec with p50/p99 latency.  --requests submits a\n"
            "fixed count; --seconds submits closed-loop until the\n"
-           "deadline.  Knobs left at 0 (or backpressure unset) resolve\n"
-           "from the ONEPORT_SERVICE_* environment (docs/KNOBS.md).\n"
-           "Exits non-zero if no request completes.\n";
+           "deadline.  --shards=0 runs one shard per hardware thread;\n"
+           "--queue-depth and --batch must be positive.  An unknown\n"
+           "flag or malformed number is an error.  Exits non-zero if\n"
+           "no request completes.\n";
     return 0;
   }
 
@@ -171,10 +176,18 @@ int run(int argc, char** argv) {
          "--requests must be positive (or give --seconds)");
 
   service::ServiceOptions options;
-  options.shards = static_cast<unsigned>(args.get_int("shards", 0));
-  options.queue_depth =
-      static_cast<std::size_t>(args.get_int("queue-depth", 0));
-  options.batch_size = static_cast<std::size_t>(args.get_int("batch", 0));
+  if (args.has("shards")) {
+    options.shards = parse_number<unsigned>(args.get("shards", ""),
+                                            "--shards");
+  }
+  if (args.has("queue-depth")) {
+    options.queue_depth = parse_number<std::size_t>(
+        args.get("queue-depth", ""), "--queue-depth");
+  }
+  if (args.has("batch")) {
+    options.batch_size =
+        parse_number<std::size_t>(args.get("batch", ""), "--batch");
+  }
   if (args.has("backpressure")) {
     options.backpressure =
         service::parse_backpressure(args.get("backpressure", "block"));

@@ -10,6 +10,8 @@
 //             [--topologies=full,ring,star,line,random,mesh3x3,torus3x3,fattree2x2]
 //             [--events=none,slowdown,dropout,mixed,arrival]
 //             [--rebalance=off,on]
+//             [--audit=none,gap] [--audit-budget=200000]
+//             [--audit-max-tasks=64]
 //             [--comm-ratio=10] [--chunk=38] [--workers=0]
 //             [--topology-seed=1] [--no-validate]
 //             [--csv=out.csv] [--json=out.json] [--quiet]
@@ -32,8 +34,9 @@
 // docs/TOPOLOGIES.md for the full grammar.  Topology names are
 // validated against the registry before the sweep starts: a typo is a
 // hard error listing the known names, not a point failure deep inside
-// the grid.  Every grid point is validated under the model implied by
-// the scheduler name unless --no-validate is given.
+// the grid, and so is a misspelled flag or a malformed number.  Every
+// grid point is validated under its scheduler's communication model
+// unless --no-validate is given.
 #include <algorithm>
 #include <fstream>
 #include <iostream>
@@ -67,7 +70,7 @@ std::vector<std::string> split_list(const std::string& csv_list) {
 std::vector<int> split_ints(const std::string& csv_list) {
   std::vector<int> out;
   for (const std::string& item : split_list(csv_list)) {
-    const int value = std::atoi(item.c_str());
+    const int value = parse_number<int>(item, "--sizes");
     ensure(value > 0, "sizes must be positive integers, got '" + item + "'");
     out.push_back(value);
   }
@@ -138,6 +141,11 @@ void write_json(std::ostream& os,
 
 int run(int argc, char** argv) {
   const Args args(argc, argv);
+  args.require_known({"help", "testbeds", "sizes", "schedulers", "topologies",
+                      "events", "rebalance", "audit", "audit-budget",
+                      "audit-max-tasks", "comm-ratio", "chunk", "workers",
+                      "topology-seed", "no-validate", "csv", "json",
+                      "quiet"});
   if (args.has("help")) {
     std::cout
         << "usage: sweep_cli [--testbeds=LU,...] [--sizes=100,...]\n"

@@ -12,11 +12,13 @@
 #include "testbeds/registry.hpp"
 #include "util/args.hpp"
 #include "util/csv.hpp"
+#include "util/error.hpp"
 
 using namespace oneport;
 
 int main(int argc, char** argv) {
   const Args args(argc, argv);
+  args.require_known({"testbed", "n", "c"});
   const std::string testbed_name = args.get("testbed", "LU");
   const int n = args.get_int("n", 150);
   const double c = args.get_double("c", 10.0);

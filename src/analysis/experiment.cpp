@@ -7,8 +7,6 @@
 
 #include "analysis/metrics.hpp"
 #include "analysis/topology_cache.hpp"
-#include "core/heft.hpp"
-#include "core/ilha.hpp"
 #include "core/registry.hpp"
 #include "dynamic/events.hpp"
 #include "dynamic/reschedule.hpp"
@@ -21,59 +19,28 @@
 
 namespace oneport::analysis {
 
-namespace {
-
-/// Registry convention shared with the property sweep: "*-oneport"
-/// entries are scheduled (and must be validated) under the one-port
-/// rules, everything else under macro-dataflow.
-bool is_one_port(const std::string& scheduler_name) {
-  return scheduler_name.find("oneport") != std::string::npos;
-}
-
-unsigned resolve_workers(int workers) {
-  return workers <= 0 ? ThreadPool::default_workers()
-                      : static_cast<unsigned>(workers);
-}
-
-}  // namespace
-
 std::vector<FigureRow> run_figure(const FigureConfig& config,
                                   const Platform& platform) {
-  const testbeds::TestbedEntry testbed = testbeds::find_testbed(config.testbed);
+  // The figure is a two-scheduler sweep; make_sweep_grid puts the
+  // scheduler axis inside the size axis, so rows pair up per size.
+  const std::vector<SweepResult> results = run_sweep(
+      make_sweep_grid({config.testbed}, config.sizes,
+                      {"heft-oneport", "ilha-oneport"}, config.comm_ratio,
+                      config.chunk_size),
+      platform, {.workers = config.workers, .validate = config.validate});
   std::vector<FigureRow> rows(config.sizes.size());
-  ThreadPool pool(resolve_workers(config.workers));
-  // Every size is an independent pure computation writing its own row, so
-  // the output is in sweep order and identical for any worker count.
-  pool.parallel_for(config.sizes.size(), [&](std::size_t i) {
-    const int n = config.sizes[i];
-    const TaskGraph graph = testbed.make(n, config.comm_ratio);
-
-    const Schedule heft_sched =
-        heft(graph, platform, {.model = EftEngine::Model::kOnePort});
-    const Schedule ilha_sched =
-        ilha(graph, platform, {.model = EftEngine::Model::kOnePort,
-                               .chunk_size = config.chunk_size});
-    if (config.validate) {
-      const ValidationResult vh = validate_one_port(heft_sched, graph,
-                                                    platform);
-      ensure(vh.ok(), "HEFT schedule invalid for " + config.testbed + "(" +
-                          std::to_string(n) + "): " + vh.message());
-      const ValidationResult vi = validate_one_port(ilha_sched, graph,
-                                                    platform);
-      ensure(vi.ok(), "ILHA schedule invalid for " + config.testbed + "(" +
-                          std::to_string(n) + "): " + vi.message());
-    }
-
-    FigureRow row;
-    row.size = n;
-    row.heft_makespan = heft_sched.makespan();
-    row.ilha_makespan = ilha_sched.makespan();
-    row.heft_speedup = speedup(graph, platform, heft_sched);
-    row.ilha_speedup = speedup(graph, platform, ilha_sched);
-    row.heft_comms = heft_sched.num_comms();
-    row.ilha_comms = ilha_sched.num_comms();
-    rows[i] = row;
-  });
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const SweepResult& heft_result = results[2 * i];
+    const SweepResult& ilha_result = results[2 * i + 1];
+    FigureRow& row = rows[i];
+    row.size = config.sizes[i];
+    row.heft_makespan = heft_result.makespan;
+    row.ilha_makespan = ilha_result.makespan;
+    row.heft_speedup = heft_result.speedup;
+    row.ilha_speedup = ilha_result.speedup;
+    row.heft_comms = heft_result.num_comms;
+    row.ilha_comms = ilha_result.num_comms;
+  }
   return rows;
 }
 
@@ -140,8 +107,7 @@ std::vector<SweepPoint> make_sweep_grid(
 }
 
 SweepResult run_sweep_point(const SweepPoint& point, const Platform& platform,
-                            const SweepOptions& options,
-                            TopologyCacheShard* cache) {
+                            const SweepOptions& options) {
   // A negative cap would wrap to SIZE_MAX in the size comparison below
   // and audit graphs of any size.
   OP_REQUIRE(!options.audit_gap || options.audit_max_tasks >= 0,
@@ -153,18 +119,13 @@ SweepResult run_sweep_point(const SweepPoint& point, const Platform& platform,
   // Routed points share one immutable platform + RoutingTable per
   // (topology, seed) through a cache: each cell stays a pure function of
   // its inputs, but the Floyd-Warshall / structured-route construction
-  // runs once per network, not once per point.  A caller-owned shard
-  // (the scheduler service) is consulted directly; everyone else routes
-  // by key hash through the process-wide sharded cache.
+  // runs once per network, not once per point.
   const bool routed = point.topology != "full";
   std::shared_ptr<const RoutedPlatform> sparse;
   if (routed) {
-    sparse = cache != nullptr
-                 ? cache->get(point.topology, platform.cycle_times(),
-                              /*link=*/1.0, point.topology_seed)
-                 : shared_topology_platform(point.topology,
-                                            platform.cycle_times(),
-                                            /*link=*/1.0, point.topology_seed);
+    sparse = process_topology_cache().get(point.topology,
+                                          platform.cycle_times(),
+                                          /*link=*/1.0, point.topology_seed);
   }
   const Platform& target = routed ? sparse->platform : platform;
   const SchedulerConfig config{
@@ -186,9 +147,7 @@ SweepResult run_sweep_point(const SweepPoint& point, const Platform& platform,
     const dyn::EventTrace trace = dyn::make_named_trace(
         point.events, graph, target, schedule, point.topology_seed);
     dyn::DynamicOptions dyn_options;
-    dyn_options.model = is_one_port(point.scheduler)
-                            ? CommModel::kOnePort
-                            : CommModel::kMacroDataflow;
+    dyn_options.model = scheduler.model;
     dyn_options.rebalance = point.rebalance;
     const dyn::DynamicResult dynamic = dyn::run_dynamic(
         graph, target, point.scheduler, config, trace, dyn_options);
@@ -202,7 +161,7 @@ SweepResult run_sweep_point(const SweepPoint& point, const Platform& platform,
     }
   } else if (options.validate) {
     const ValidationResult result =
-        is_one_port(point.scheduler)
+        scheduler.model == CommModel::kOnePort
             ? validate_one_port(schedule, graph, target)
             : validate_macro_dataflow(schedule, graph, target);
     ensure(result.ok(), point.scheduler + " schedule invalid for " +
@@ -243,17 +202,13 @@ std::vector<SweepResult> run_sweep(const std::vector<SweepPoint>& grid,
                                    const Platform& platform,
                                    const SweepOptions& options) {
   std::vector<SweepResult> results(grid.size());
-  ThreadPool pool(resolve_workers(options.workers));
+  ThreadPool pool(options.workers <= 0
+                      ? ThreadPool::default_workers()
+                      : static_cast<unsigned>(options.workers));
   pool.parallel_for(grid.size(), [&](std::size_t i) {
     results[i] = run_sweep_point(grid[i], platform, options);
   });
   return results;
-}
-
-std::shared_ptr<const RoutedPlatform> shared_topology_platform(
-    const std::string& topology, const std::vector<double>& cycle_times,
-    double link, std::uint64_t seed) {
-  return process_topology_cache().get(topology, cycle_times, link, seed);
 }
 
 csv::Table sweep_table(const std::vector<SweepResult>& rows) {

@@ -2,25 +2,21 @@
 // problem size, run HEFT and ILHA under the one-port model, validate both
 // schedules, and report the paper's ratio (sequential time / makespan).
 //
-// Two drivers exist:
-//   * run_figure: the paper's fixed HEFT+ILHA column pair over one
-//     testbed's size sweep;
-//   * run_sweep: the general (testbed, n, heuristic) grid, each point an
-//     independent scheduler run.
-// Both farm their points over a util/thread_pool.hpp worker pool
-// (`workers` knob; 1 = serial, 0 = hardware concurrency) and always
-// return rows in grid order -- every point is a pure function of its
-// inputs, so the results are identical whatever the worker count.
+// run_sweep runs the general (testbed, n, heuristic) grid, each point an
+// independent scheduler run, over a util/thread_pool.hpp worker pool
+// (`workers` knob; 1 = serial, 0 = hardware concurrency) and returns
+// rows in grid order -- every point is a pure function of its inputs,
+// so the results are identical whatever the worker count.  run_figure
+// is the paper's HEFT+ILHA column pair over one testbed's size sweep,
+// formatted from a two-scheduler run_sweep.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "analysis/topology_cache.hpp"
 #include "platform/platform.hpp"
 #include "platform/routing.hpp"
 #include "util/csv.hpp"
@@ -76,9 +72,8 @@ struct SweepPoint {
   /// "mesh4x4:het0.5:swp") -- rebuilds a sparse platform from that
   /// platform's cycle times (unit base link cost) and schedules
   /// store-and-forward chains along its routed paths.  Routed platforms
-  /// come from the process-wide shared_topology_platform cache, so a
-  /// grid sweep builds each (topology, seed) network once instead of
-  /// once per point.
+  /// come from process_topology_cache(), so a grid sweep builds each
+  /// (topology, seed) network once instead of once per point.
   std::string topology = "full";
   /// Seed for the "random" topology and the seeded ':het'/':hot' link
   /// cost generators.
@@ -129,9 +124,9 @@ struct SweepResult {
 
 struct SweepOptions {
   int workers = 0;  ///< 0 = hardware concurrency, 1 = serial
-  /// Validate every schedule under the model implied by the scheduler
-  /// name (one-port for "*-oneport" entries, macro-dataflow otherwise);
-  /// throws std::logic_error on the first violation.
+  /// Validate every static schedule under its registry entry's
+  /// communication model (SchedulerEntry::model); throws
+  /// std::logic_error on the first violation.
   bool validate = true;
   /// Run the exact/branch_bound optimality audit on every static point
   /// with at most `audit_max_tasks` tasks (the sweep_cli --audit=gap
@@ -173,39 +168,12 @@ struct SweepOptions {
 /// Runs ONE grid point -- the exact code path run_sweep farms across the
 /// thread pool, exposed so other executors (the scheduler service in
 /// src/service/) produce bit-identical results by construction.  Routed
-/// points resolve their network through `cache` when given (a
-/// scheduler-service worker passes the shard it owns, making routed
-/// lookups contention-free) and through the process-wide sharded cache
-/// otherwise.
+/// points resolve their network through process_topology_cache().
 [[nodiscard]] SweepResult run_sweep_point(const SweepPoint& point,
                                           const Platform& platform,
-                                          const SweepOptions& options = {},
-                                          TopologyCacheShard* cache = nullptr);
+                                          const SweepOptions& options = {});
 
 /// Formats sweep results as one row per grid point.
 [[nodiscard]] csv::Table sweep_table(const std::vector<SweepResult>& rows);
-
-/// Process-wide routed-platform cache for grid sweeps (ROADMAP item):
-/// keyed by (topology name, seed, link, cycle times), the first call per
-/// key builds the platform and its RoutingTable (Floyd-Warshall for the
-/// unstructured names and the ':swp' policy, XY/alternating/up-down
-/// construction for mesh/torus/fattree); every later call -- from any
-/// worker thread -- returns the same immutable instance.  A topology x
-/// testbed x size x scheduler grid therefore builds each network once
-/// instead of once per grid point.  The full suffixed name is the key's
-/// first component and the seed its second, so "mesh3x3",
-/// "mesh3x3:swp", and "mesh3x3:het0.5" (or the same ':het' shape under
-/// two seeds) can never alias; cycle times participate too, so two
-/// sweeps over different base platforms stay distinct.
-///
-/// Since the scheduler-service PR this is a compatibility shim over the
-/// sharded cache (analysis/topology_cache.hpp): calls route by key hash
-/// through `process_topology_cache()`, so distinct networks build under
-/// distinct locks.  The old single-mutex global path is gone; the
-/// one-instance-per-key contract is unchanged and still pinned by
-/// tests/concurrency_stress_test.cpp.
-[[nodiscard]] std::shared_ptr<const RoutedPlatform> shared_topology_platform(
-    const std::string& topology, const std::vector<double>& cycle_times,
-    double link = 1.0, std::uint64_t seed = 1);
 
 }  // namespace oneport::analysis

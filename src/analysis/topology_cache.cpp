@@ -6,7 +6,8 @@
 
 namespace oneport::analysis {
 
-std::shared_ptr<const RoutedPlatform> TopologyCacheShard::get(
+std::shared_ptr<const RoutedPlatform>
+ShardedTopologyCache::TopologyCacheShard::get(
     const std::string& topology, const std::vector<double>& cycle_times,
     double link, std::uint64_t seed) {
   Key key{topology, seed, link, cycle_times};
@@ -25,7 +26,7 @@ std::shared_ptr<const RoutedPlatform> TopologyCacheShard::get(
   return entries_.emplace(std::move(key), std::move(built)).first->second;
 }
 
-std::size_t TopologyCacheShard::size() const {
+std::size_t ShardedTopologyCache::TopologyCacheShard::size() const {
   util::MutexLock lock(mutex_);
   return entries_.size();
 }
@@ -61,9 +62,7 @@ std::size_t ShardedTopologyCache::total_entries() const {
 
 ShardedTopologyCache& process_topology_cache() noexcept {
   // 8 shards comfortably covers the distinct-network parallelism of a
-  // grid sweep without bloating idle processes; scheduler-service
-  // workers never route through here (each owns a shard of its own
-  // service-local cache sized by ONEPORT_SERVICE_SHARDS).
+  // grid sweep or a service's workers without bloating idle processes.
   static auto* cache = new ShardedTopologyCache(8);
   return *cache;
 }

@@ -70,7 +70,7 @@ struct Evaluation {
 
 class EftEngine {
  public:
-  enum class Model { kMacroDataflow, kOnePort };
+  using Model = CommModel;
 
   /// `routing` is optional (may be null): when provided, transfers between
   /// non-adjacent processors become store-and-forward chains along the

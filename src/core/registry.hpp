@@ -19,6 +19,9 @@ using SchedulerFn =
 struct SchedulerEntry {
   std::string name;         ///< e.g. "ilha-oneport"
   std::string description;  ///< one-line human description
+  /// The model `run` schedules under, and so the one its schedules are
+  /// validated (and dynamically rescheduled) under.
+  CommModel model;
   SchedulerFn run;
 };
 

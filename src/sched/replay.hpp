@@ -25,11 +25,6 @@
 
 namespace oneport {
 
-enum class CommModel {
-  kMacroDataflow,  ///< unlimited ports, contention-free network (§2.1)
-  kOnePort,        ///< one send + one receive port per processor (§2.3)
-};
-
 /// Recomputes all dates of `schedule` as-soon-as-possible under `model`,
 /// keeping its allocation and resource orders.  When replaying under
 /// kOnePort a schedule that never considered ports (e.g. one produced by a

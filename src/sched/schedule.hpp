@@ -12,6 +12,12 @@
 
 namespace oneport {
 
+/// The communication model a schedule is built and validated under.
+enum class CommModel {
+  kMacroDataflow,  ///< unlimited ports, contention-free network (§2.1)
+  kOnePort,        ///< one send + one receive port per processor (§2.3)
+};
+
 struct TaskPlacement {
   ProcId proc = -1;
   double start = 0.0;

@@ -6,33 +6,12 @@
 #include <string>
 #include <utility>
 
-#include "util/env_knobs.hpp"
+#include "util/error.hpp"
 #include "util/profiler.hpp"
 
 namespace oneport::service {
 
 namespace {
-
-unsigned resolve_shards(unsigned requested) {
-  if (requested > 0) return requested;
-  const long knob = env::integer(env::Knob::kServiceShards, 0);
-  if (knob > 0) return static_cast<unsigned>(knob);
-  return ThreadPool::default_workers();
-}
-
-std::size_t resolve_size(std::size_t requested, env::Knob knob,
-                         long fallback) {
-  if (requested > 0) return requested;
-  const long value = env::integer(knob, fallback);
-  return value > 0 ? static_cast<std::size_t>(value)
-                   : static_cast<std::size_t>(fallback);
-}
-
-Backpressure resolve_backpressure(Backpressure requested) {
-  if (requested != Backpressure::kDefault) return requested;
-  return parse_backpressure(
-      env::text(env::Knob::kServiceBackpressure, "block"));
-}
 
 std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point from,
                          std::chrono::steady_clock::time_point to) {
@@ -55,22 +34,22 @@ const char* backpressure_name(Backpressure mode) noexcept {
   switch (mode) {
     case Backpressure::kBlock: return "block";
     case Backpressure::kReject: return "reject";
-    case Backpressure::kDefault: break;
   }
-  return "default";
+  return "unknown";
 }
 
 SchedulerService::SchedulerService(const Platform& platform,
                                    const ServiceOptions& options)
     : platform_(platform),
-      shards_(resolve_shards(options.shards)),
-      depth_(resolve_size(options.queue_depth,
-                          env::Knob::kServiceQueueDepth, 256)),
-      batch_(resolve_size(options.batch_size, env::Knob::kServiceBatch, 8)),
-      mode_(resolve_backpressure(options.backpressure)),
+      shards_(options.shards > 0 ? options.shards
+                                 : ThreadPool::default_workers()),
+      depth_(options.queue_depth),
+      batch_(options.batch_size),
+      mode_(options.backpressure),
       sweep_options_{.workers = 1, .validate = options.validate},
-      retry_after_ms_(options.retry_after_ms),
-      cache_(shards_) {
+      retry_after_ms_(options.retry_after_ms) {
+  OP_REQUIRE(depth_ > 0, "ServiceOptions::queue_depth must be positive");
+  OP_REQUIRE(batch_ > 0, "ServiceOptions::batch_size must be positive");
   pool_ = std::make_unique<ThreadPool>(std::max(2u, shards_));
   for (unsigned shard = 0; shard < shards_; ++shard) {
     pool_->submit([this, shard] { worker_loop(shard); });
@@ -115,7 +94,6 @@ Ticket SchedulerService::submit(analysis::SweepPoint point) {
 }
 
 void SchedulerService::worker_loop(unsigned shard) {
-  analysis::TopologyCacheShard& cache = cache_.shard(shard);
   std::vector<Job> batch;
   while (true) {
     batch.clear();
@@ -146,8 +124,7 @@ void SchedulerService::worker_loop(unsigned shard) {
       response.queue_ns = elapsed_ns(job.enqueued, admitted);
       try {
         response.result =
-            analysis::run_sweep_point(job.point, platform_, sweep_options_,
-                                      &cache);
+            analysis::run_sweep_point(job.point, platform_, sweep_options_);
         const Clock::time_point done = Clock::now();
         response.service_ns = elapsed_ns(admitted, done);
         response.latency_ns = elapsed_ns(job.enqueued, done);

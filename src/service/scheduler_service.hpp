@@ -17,9 +17,8 @@
 //     the service) drain up to `batch_size` requests per wake -- one
 //     lock acquisition admits a whole batch, so queue-mutex traffic
 //     scales with batches, not requests;
-//   * each worker OWNS one TopologyCacheShard (analysis/topology_cache):
-//     routed platform lookups never contend across workers, which is the
-//     sharding that replaced the old process-wide single-mutex cache;
+//   * routed platforms resolve through the process-wide sharded cache
+//     (analysis::process_topology_cache), the same one run_sweep uses;
 //   * every request runs through analysis::run_sweep_point -- the exact
 //     executor run_sweep farms over the pool -- so a service schedule is
 //     bit-identical to the same job run through the batch path
@@ -27,9 +26,6 @@
 //   * per-request latency (enqueue -> completion) lands in the response,
 //     in the service's own stats, and -- when the profiler is on -- in
 //     the kService* counters of util/profiler.
-//
-// Defaults resolve from the ONEPORT_SERVICE_* env knobs (docs/KNOBS.md);
-// explicit ServiceOptions fields win over the environment.
 #pragma once
 
 #include <chrono>
@@ -42,32 +38,29 @@
 #include <vector>
 
 #include "analysis/experiment.hpp"
-#include "analysis/topology_cache.hpp"
 #include "platform/platform.hpp"
 #include "util/annotations.hpp"
 #include "util/thread_pool.hpp"
 
 namespace oneport::service {
 
-/// Full-queue policy.  kDefault resolves ONEPORT_SERVICE_BACKPRESSURE
-/// ("block" unless overridden) at service construction.
-enum class Backpressure { kDefault, kBlock, kReject };
+/// Full-queue policy.
+enum class Backpressure { kBlock, kReject };
 
 /// Parses "block"/"reject" (throws std::invalid_argument otherwise).
 [[nodiscard]] Backpressure parse_backpressure(std::string_view name);
 [[nodiscard]] const char* backpressure_name(Backpressure mode) noexcept;
 
 struct ServiceOptions {
-  /// Shard workers; 0 = ONEPORT_SERVICE_SHARDS, then hardware
-  /// concurrency (min 1).
+  /// Shard workers; 0 = ThreadPool::default_workers() (hardware
+  /// concurrency unless ONEPORT_WORKERS is set).
   unsigned shards = 0;
-  /// Request-queue bound; 0 = ONEPORT_SERVICE_QUEUE_DEPTH, then 256.
-  std::size_t queue_depth = 0;
-  /// Max requests drained per worker wake; 0 = ONEPORT_SERVICE_BATCH,
-  /// then 8.
-  std::size_t batch_size = 0;
-  /// Full-queue policy; kDefault = ONEPORT_SERVICE_BACKPRESSURE.
-  Backpressure backpressure = Backpressure::kDefault;
+  /// Request-queue bound; must be positive.
+  std::size_t queue_depth = 256;
+  /// Max requests drained per worker wake; must be positive.
+  std::size_t batch_size = 8;
+  /// Full-queue policy.
+  Backpressure backpressure = Backpressure::kBlock;
   /// Validate every static schedule (same meaning as SweepOptions).
   bool validate = true;
   /// Retry-after hint handed back on kReject, in milliseconds.
@@ -110,7 +103,8 @@ struct ServiceStats {
 class SchedulerService {
  public:
   /// Copies `platform` (requests may outlive the caller's copy) and
-  /// starts the shard workers immediately.
+  /// starts the shard workers immediately.  Throws std::invalid_argument
+  /// when `queue_depth` or `batch_size` is zero.
   explicit SchedulerService(const Platform& platform,
                             const ServiceOptions& options = {});
   /// stop()s if the caller has not.
@@ -160,7 +154,6 @@ class SchedulerService {
   Backpressure mode_;
   analysis::SweepOptions sweep_options_;
   int retry_after_ms_;
-  analysis::ShardedTopologyCache cache_;
 
   mutable util::Mutex mutex_;
   util::CondVar not_empty_;

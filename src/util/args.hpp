@@ -1,15 +1,35 @@
 // Tiny command-line parser for the examples and benchmark harnesses.
 // Accepts "--key=value" and "--flag"; anything else is a positional.
+// Input errors -- a flag the program does not read, a number with
+// trailing garbage -- throw std::invalid_argument naming the flag.
 #pragma once
 
-#include <cstdlib>
+#include <algorithm>
+#include <charconv>
+#include <initializer_list>
 #include <map>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
-#include "util/error.hpp"
-
 namespace oneport {
+
+/// Parses all of `text` as a number of type T (no leading '+' or
+/// whitespace, no trailing characters, in range); throws
+/// std::invalid_argument naming `what` otherwise.
+template <typename T>
+[[nodiscard]] T parse_number(std::string_view text, std::string_view what) {
+  T value{};
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end) {
+    throw std::invalid_argument(std::string(what) + ": '" +
+                                std::string(text) + "' is not a valid number");
+  }
+  return value;
+}
 
 class Args {
  public:
@@ -29,6 +49,22 @@ class Args {
     }
   }
 
+  /// Throws std::invalid_argument naming the first given flag that is
+  /// not in `known`, so a misspelled flag is an error rather than a
+  /// silently applied default.
+  void require_known(std::initializer_list<std::string_view> known) const {
+    for (const auto& [key, value] : options_) {
+      if (std::find(known.begin(), known.end(), key) != known.end()) continue;
+      std::string names;
+      for (const std::string_view k : known) {
+        names += names.empty() ? "--" : ", --";
+        names += k;
+      }
+      throw std::invalid_argument("unknown flag '--" + key + "' (known: " +
+                                  names + ")");
+    }
+  }
+
   [[nodiscard]] bool has(const std::string& key) const {
     return options_.contains(key);
   }
@@ -39,12 +75,15 @@ class Args {
   }
   [[nodiscard]] int get_int(const std::string& key, int fallback) const {
     const auto it = options_.find(key);
-    return it == options_.end() ? fallback : std::atoi(it->second.c_str());
+    return it == options_.end() ? fallback
+                                : parse_number<int>(it->second, "--" + key);
   }
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const {
     const auto it = options_.find(key);
-    return it == options_.end() ? fallback : std::atof(it->second.c_str());
+    return it == options_.end()
+               ? fallback
+               : parse_number<double>(it->second, "--" + key);
   }
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
     return positional_;

@@ -31,8 +31,6 @@ const char* counter_name(Counter c) noexcept {
   return "unknown";
 }
 
-#if !defined(ONEPORT_NO_PROFILER)
-
 namespace detail {
 
 namespace {
@@ -118,7 +116,5 @@ void reset() noexcept {
     }
   }
 }
-
-#endif  // !ONEPORT_NO_PROFILER
 
 }  // namespace oneport::prof

@@ -1,7 +1,7 @@
 // Concurrency stress for the repo's three load-bearing shared-state
 // sites: the thread pool (contended submit/drain, exceptions inside
-// tasks), the sharded routed-platform cache behind the
-// shared_topology_platform shim, and the profiler's per-thread slab
+// tasks), the process-wide sharded routed-platform cache, and the
+// profiler's per-thread slab
 // registry.  (The scheduler service built on top of all three has its
 // own battery in tests/service_test.cpp.)
 //
@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/experiment.hpp"
 #include "analysis/topology_cache.hpp"
 #include "platform/routing.hpp"
 #include "util/profiler.hpp"
@@ -112,7 +111,7 @@ TEST(ThreadPoolStress, DestructorDrainsQueuedJobs) {
   EXPECT_EQ(ran.load(), 200);
 }
 
-// --------------------------------------- shared_topology_platform cache
+// ----------------------------------------- process_topology_cache()
 
 // Regression shape for the satellite audit of the cache's locking: many
 // workers demanding the same small key set concurrently.  The contract
@@ -120,11 +119,9 @@ TEST(ThreadPoolStress, DestructorDrainsQueuedJobs) {
 // key -- a racy first build is allowed to construct twice, but
 // map::emplace keeps the first insert and hands the winner to every
 // caller, losers included.  Run under TSan this also proves the
-// build-outside-the-lock window touches no shared mutable state.
-// Since the scheduler-service PR the shim hash-routes every call into
-// the process-wide ShardedTopologyCache, so this same test now pins the
-// contract across shard boundaries too (the key set below spans
-// multiple shards).
+// build-outside-the-lock window touches no shared mutable state.  The
+// key set spans multiple shards, so the contract is pinned across shard
+// boundaries too.
 TEST(TopologyCacheStress, ConcurrentHitsShareOneInstancePerKey) {
   const std::vector<double> cycles{4.0, 5.0, 6.0, 10.0};
   const std::vector<std::string> names{"ring", "star", "mesh2x2",
@@ -135,7 +132,7 @@ TEST(TopologyCacheStress, ConcurrentHitsShareOneInstancePerKey) {
   pool.parallel_for(kLookups, [&](std::size_t i) {
     // Distinct seeds multiply the key space; i % 2 seeds collide across
     // workers so both the build path and the hit path stay contended.
-    got[i] = analysis::shared_topology_platform(
+    got[i] = analysis::process_topology_cache().get(
         names[i % names.size()], cycles, /*link=*/1.0, /*seed=*/i % 2);
   });
   for (std::size_t i = 0; i < kLookups; ++i) {
@@ -181,7 +178,6 @@ TEST(TopologyCacheStress, ShardedSingletonHoldsAcrossWideKeySet) {
 // ------------------------------------------------ profiler slab registry
 
 TEST(ProfilerStress, ConcurrentBumpsAggregateExactly) {
-  if (!prof::compiled_in()) GTEST_SKIP() << "profiler compiled out";
   const prof::Counts before = prof::aggregate();
   {
     prof::ScopedProfiler scoped(true);

@@ -35,12 +35,6 @@ std::string joined(const std::vector<std::string>& errors) {
   return out;
 }
 
-CommModel model_of(const std::string& scheduler) {
-  return scheduler.find("oneport") != std::string::npos
-             ? CommModel::kOnePort
-             : CommModel::kMacroDataflow;
-}
-
 /// Plays the named preset trace for (scenario, scheduler) and returns
 /// the result; the trace's event times are derived from the heuristic's
 /// own static makespan, so events genuinely land mid-run.
@@ -50,14 +44,13 @@ DynamicResult run_named(const Scenario& scenario,
                         bool rebalance = false) {
   SchedulerConfig config;
   config.routing = scenario.routing_ptr();
-  const Schedule initial =
-      find_scheduler(scheduler, config).run(scenario.graph,
-                                            scenario.platform);
+  const SchedulerEntry entry = find_scheduler(scheduler, config);
+  const Schedule initial = entry.run(scenario.graph, scenario.platform);
   const EventTrace trace = dyn::make_named_trace(
       trace_name, scenario.graph, scenario.platform, initial,
       scenario.seed);
   DynamicOptions options;
-  options.model = model_of(scheduler);
+  options.model = entry.model;
   options.rebalance = rebalance;
   return dyn::run_dynamic(scenario.graph, scenario.platform, scheduler,
                           config, trace, options);
@@ -69,12 +62,11 @@ void expect_invariants(const Scenario& scenario,
                        bool rebalance = false) {
   SchedulerConfig config;
   config.routing = scenario.routing_ptr();
-  const Schedule initial =
-      find_scheduler(scheduler, config).run(scenario.graph,
-                                            scenario.platform);
+  const SchedulerEntry entry = find_scheduler(scheduler, config);
+  const Schedule initial = entry.run(scenario.graph, scenario.platform);
   DynamicScenario dynamic;
   dynamic.base = &scenario;
-  dynamic.model = model_of(scheduler);
+  dynamic.model = entry.model;
   dynamic.trace = dyn::make_named_trace(trace_name, scenario.graph,
                                         scenario.platform, initial,
                                         scenario.seed);
@@ -153,7 +145,7 @@ TEST(Dynamic, EmptyTraceReproducesTheStaticScheduleBitForBit) {
       const Schedule expected =
           entry.run(scenario.graph, scenario.platform);
       DynamicOptions options;
-      options.model = model_of(entry.name);
+      options.model = entry.model;
       const DynamicResult result = dyn::run_dynamic(
           scenario.graph, scenario.platform, entry.name, config, {},
           options);

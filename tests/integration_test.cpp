@@ -30,8 +30,7 @@ TEST_P(SchedulerTestbedMatrix, ProducesValidSchedules) {
   const Schedule schedule = scheduler.run(graph, platform);
   ASSERT_TRUE(schedule.complete());
 
-  const bool one_port =
-      scheduler_name.find("oneport") != std::string::npos;
+  const bool one_port = scheduler.model == CommModel::kOnePort;
   const ValidationResult check =
       one_port ? validate_one_port(schedule, graph, platform)
                : validate_macro_dataflow(schedule, graph, platform);
@@ -43,9 +42,8 @@ TEST_P(SchedulerTestbedMatrix, ProducesValidSchedules) {
 
   // ASAP replay under the same model never worsens a valid schedule, and
   // the result still validates.
-  const CommModel model =
-      one_port ? CommModel::kOnePort : CommModel::kMacroDataflow;
-  const Schedule replayed = asap_replay(schedule, graph, platform, model);
+  const Schedule replayed =
+      asap_replay(schedule, graph, platform, scheduler.model);
   EXPECT_LE(replayed.makespan(), schedule.makespan() + 1e-6);
   const ValidationResult recheck =
       one_port ? validate_one_port(replayed, graph, platform)
@@ -75,6 +73,17 @@ TEST(Registry, ExposesAllSchedulers) {
   EXPECT_EQ(builtin_schedulers().size(), 11u);
   EXPECT_THROW(find_scheduler("nope"), std::invalid_argument);
   EXPECT_EQ(find_scheduler("ilha-oneport").name, "ilha-oneport");
+}
+
+// Library callers read the model from the entry, but perfbench's traced
+// mirror (perfbench/src/mirror.cpp) still derives it from the name
+// ("-oneport" <=> one-port), so the two must agree for every entry.
+TEST(Registry, EntryModelMatchesNameSuffix) {
+  for (const SchedulerEntry& entry : builtin_schedulers()) {
+    EXPECT_EQ(entry.name.ends_with("-oneport"),
+              entry.model == CommModel::kOnePort)
+        << entry.name;
+  }
 }
 
 /// The macro model is a relaxation of the one-port model, so for the SAME

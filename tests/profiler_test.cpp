@@ -82,7 +82,6 @@ TEST(Profiler, CounterNamesAreStableSnakeCase) {
 }
 
 TEST(Profiler, ScopedProfilerRestoresPreviousState) {
-  if (!prof::compiled_in()) GTEST_SKIP() << "built with ONEPORT_PROFILER=OFF";
   const bool before = prof::enabled();
   {
     prof::ScopedProfiler guard(true);
@@ -101,7 +100,6 @@ TEST(Profiler, ScopedProfilerRestoresPreviousState) {
 // counters must have moved (every placement probes at least one
 // processor timeline).
 TEST(Profiler, CountersTrackOneScheduleRunExactly) {
-  if (!prof::compiled_in()) GTEST_SKIP() << "built with ONEPORT_PROFILER=OFF";
   const Scenario scenario = make_scenario();
   prof::ScopedProfiler guard(true);
   prof::reset();
@@ -119,7 +117,6 @@ TEST(Profiler, CountersTrackOneScheduleRunExactly) {
 // One bb_nodes bump per expansion, and bb_children adds each expanded
 // node's child count, so children per node is readable from a profile.
 TEST(Profiler, BranchBoundCountsNodesAndChildren) {
-  if (!prof::compiled_in()) GTEST_SKIP() << "built with ONEPORT_PROFILER=OFF";
   const Scenario scenario = make_scenario();
   prof::ScopedProfiler guard(true);
   prof::reset();
@@ -138,7 +135,6 @@ TEST(Profiler, BranchBoundCountsNodesAndChildren) {
 }
 
 TEST(Profiler, ResetZeroesEveryRegisteredSlab) {
-  if (!prof::compiled_in()) GTEST_SKIP() << "built with ONEPORT_PROFILER=OFF";
   const Scenario scenario = make_scenario();
   prof::ScopedProfiler guard(true);
   (void)run_heft(scenario);
@@ -154,7 +150,6 @@ TEST(Profiler, ResetZeroesEveryRegisteredSlab) {
 }
 
 TEST(Profiler, PoolJobsAreCountedWithWallTime) {
-  if (!prof::compiled_in()) GTEST_SKIP() << "built with ONEPORT_PROFILER=OFF";
   prof::ScopedProfiler guard(true);
   prof::reset();
   ThreadPool pool(2);
@@ -168,7 +163,6 @@ TEST(Profiler, PoolJobsAreCountedWithWallTime) {
 // (graph, platform, heuristic) input must yield bit-identical schedules
 // with the profiler on and off, for every registered heuristic.
 TEST(Profiler, SchedulesAreBitIdenticalProfilerOnVsOff) {
-  if (!prof::compiled_in()) GTEST_SKIP() << "built with ONEPORT_PROFILER=OFF";
   for (const Scenario& scenario : testsupport::scenario_sweep(7307, 4)) {
     for (const SchedulerEntry& entry : builtin_schedulers(
              SchedulerConfig{.ilha_chunk_size = 5,

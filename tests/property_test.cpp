@@ -51,7 +51,7 @@ TEST_P(RandomWorkloadTest, AllSchedulersProduceValidSchedules) {
   for (const SchedulerEntry& entry : builtin_schedulers(/*chunk=*/9)) {
     const Schedule schedule = entry.run(graph, platform);
     ASSERT_TRUE(schedule.complete()) << entry.name;
-    const bool one_port = entry.name.find("oneport") != std::string::npos;
+    const bool one_port = entry.model == CommModel::kOnePort;
     const ValidationResult check =
         one_port ? validate_one_port(schedule, graph, platform)
                  : validate_macro_dataflow(schedule, graph, platform);

@@ -5,7 +5,7 @@
 // injection), the RoutingPolicy axis (dimension-ordered XY, alternating
 // XY-YX load spreading, cost-aware shortest-weighted-path), and the
 // ':'-suffix topology-name grammar that makes both sweep axes --
-// including the shared_topology_platform cache keys that must never
+// including the process_topology_cache keys that must never
 // alias across policy/heterogeneity suffixes.
 #include <gtest/gtest.h>
 
@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/experiment.hpp"
+#include "analysis/topology_cache.hpp"
 #include "core/heft.hpp"
 #include "core/ilha.hpp"
 #include "platform/routing.hpp"
@@ -321,16 +321,14 @@ TEST(TopologyNameGrammar, GoldenHetMeshSwpDeviatesFromXY) {
 // behind ':het') must never alias in the process-wide sweep cache.
 
 TEST(SharedTopologyCache, PolicyAndHetKeysNeverAlias) {
+  analysis::ShardedTopologyCache& cache = analysis::process_topology_cache();
   const std::vector<double> cycles{1.0, 2.0, 1.0, 2.0, 3.0};
-  const auto base = analysis::shared_topology_platform("mesh3x3", cycles);
-  const auto swp = analysis::shared_topology_platform("mesh3x3:swp", cycles);
-  const auto alt = analysis::shared_topology_platform("mesh3x3:alt", cycles);
-  const auto het =
-      analysis::shared_topology_platform("mesh3x3:het0.5", cycles);
-  const auto het_swp =
-      analysis::shared_topology_platform("mesh3x3:het0.5:swp", cycles);
-  const auto het_seed2 =
-      analysis::shared_topology_platform("mesh3x3:het0.5", cycles, 1.0, 2);
+  const auto base = cache.get("mesh3x3", cycles);
+  const auto swp = cache.get("mesh3x3:swp", cycles);
+  const auto alt = cache.get("mesh3x3:alt", cycles);
+  const auto het = cache.get("mesh3x3:het0.5", cycles);
+  const auto het_swp = cache.get("mesh3x3:het0.5:swp", cycles);
+  const auto het_seed2 = cache.get("mesh3x3:het0.5", cycles, 1.0, 2);
   const std::vector<const void*> instances{
       base.get(), swp.get(), alt.get(), het.get(), het_swp.get(),
       het_seed2.get()};
@@ -341,9 +339,7 @@ TEST(SharedTopologyCache, PolicyAndHetKeysNeverAlias) {
     }
   }
   // Same suffixed name + seed still hits the cache ...
-  EXPECT_EQ(het_swp.get(),
-            analysis::shared_topology_platform("mesh3x3:het0.5:swp", cycles)
-                .get());
+  EXPECT_EQ(het_swp.get(), cache.get("mesh3x3:het0.5:swp", cycles).get());
   // ... and the cached instance is bit-equal to a fresh build.
   const RoutedPlatform fresh =
       make_topology_platform("mesh3x3:het0.5:swp", cycles, 1.0, 1);

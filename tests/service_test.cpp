@@ -1,15 +1,14 @@
 // Concurrency + correctness battery for the scheduler service (the
 // ISSUE-9 tentpole).  Labeled quick AND pool: the Debug CI leg runs it
 // for fast feedback and the TSan leg replays it for races across the
-// request queue, the shard workers, and the per-shard topology caches.
+// request queue, the shard workers, and the shared topology cache.
 //
 // The load-bearing pins:
 //   * a schedule produced through the service is BIT-identical to the
 //     same SweepPoint run through analysis::run_sweep -- both paths call
 //     run_sweep_point, and this suite keeps that true from the outside;
-//   * the per-shard routed-platform cache returns one instance per key
-//     no matter how many threads demand it concurrently (the contract
-//     the old process-wide cache had, now held per shard);
+//   * the sharded routed-platform cache returns one instance per key
+//     no matter how many threads demand it concurrently;
 //   * backpressure is principled: block-mode submitters park and every
 //     request completes; reject-mode tickets partition cleanly into
 //     accepted (future resolves) and rejected (retry-after hint, no id
@@ -68,7 +67,7 @@ TEST(SchedulerService, ResultsBitIdenticalToRunSweep) {
       analysis::run_sweep(grid, platform, {.workers = 1});
 
   service::ServiceOptions options;
-  options.shards = 3;  // requests hash to different shard caches
+  options.shards = 3;  // requests spread over several workers
   options.batch_size = 2;
   service::SchedulerService svc(platform, options);
   std::vector<service::Ticket> tickets;
@@ -217,6 +216,28 @@ TEST(SchedulerService, FaultingRequestResolvesItsFutureOnly) {
   svc.drain();  // the failed request must not leave in_flight_ stuck
 }
 
+TEST(SchedulerService, DefaultOptionsAreTheDocumentedConstants) {
+  const Platform platform = make_paper_platform();
+  service::SchedulerService svc(platform, service::ServiceOptions{});
+  EXPECT_EQ(svc.queue_depth(), 256u);
+  EXPECT_EQ(svc.batch_size(), 8u);
+  EXPECT_EQ(svc.backpressure(), service::Backpressure::kBlock);
+  EXPECT_EQ(svc.shards(), ThreadPool::default_workers());
+}
+
+TEST(SchedulerService, ZeroQueueDepthOrBatchSizeThrows) {
+  const Platform platform = make_paper_platform();
+  service::ServiceOptions options;
+  options.shards = 1;
+  options.queue_depth = 0;
+  EXPECT_THROW(service::SchedulerService(platform, options),
+               std::invalid_argument);
+  options.queue_depth = 1;
+  options.batch_size = 0;
+  EXPECT_THROW(service::SchedulerService(platform, options),
+               std::invalid_argument);
+}
+
 TEST(SchedulerService, BackpressureParsing) {
   EXPECT_EQ(service::parse_backpressure("block"),
             service::Backpressure::kBlock);
@@ -233,13 +254,13 @@ TEST(SchedulerService, BackpressureParsing) {
 // ------------------------------------------------- sharded topology cache
 
 TEST(ShardedTopologyCache, ShardGetIsOneInstancePerKeyUnderContention) {
-  analysis::TopologyCacheShard shard;
+  analysis::ShardedTopologyCache cache(1);
   const std::vector<double> cycles{4.0, 5.0, 6.0, 10.0};
   constexpr std::size_t kLookups = 256;
   std::vector<std::shared_ptr<const RoutedPlatform>> got(kLookups);
   ThreadPool pool(kWorkers);
   pool.parallel_for(kLookups, [&](std::size_t i) {
-    got[i] = shard.get(i % 2 == 0 ? "ring" : "star", cycles, /*link=*/1.0,
+    got[i] = cache.get(i % 2 == 0 ? "ring" : "star", cycles, /*link=*/1.0,
                        /*seed=*/i % 3);
   });
   for (std::size_t i = 0; i < kLookups; ++i) {
@@ -252,7 +273,7 @@ TEST(ShardedTopologyCache, ShardGetIsOneInstancePerKeyUnderContention) {
       }
     }
   }
-  EXPECT_EQ(shard.size(), 6u);  // 2 topologies x 3 seeds
+  EXPECT_EQ(cache.total_entries(), 6u);  // 2 topologies x 3 seeds
 }
 
 TEST(ShardedTopologyCache, HashRoutingIsStableAndCoversAllShards) {
@@ -262,22 +283,18 @@ TEST(ShardedTopologyCache, HashRoutingIsStableAndCoversAllShards) {
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     EXPECT_EQ(cache.shard_for("ring", seed), cache.shard_for("ring", seed));
   }
-  // ...and the routed get() caches exactly once per key, in the shard
-  // the router names.
+  // ...and the routed get() caches exactly once per key.
   const std::vector<double> cycles{4.0, 5.0};
   const auto a = cache.get("ring", cycles, 1.0, 1);
   const auto b = cache.get("ring", cycles, 1.0, 1);
   EXPECT_EQ(a.get(), b.get());
   EXPECT_EQ(cache.total_entries(), 1u);
-  EXPECT_EQ(cache.shard(cache.shard_for("ring", 1)).size(), 1u);
 }
 
-TEST(ShardedTopologyCache, ServiceShardsStayDisjointButConsistent) {
-  // Two service workers resolving the same routed point each populate
-  // their own shard: instances may differ across shards (that is the
-  // contention trade), but every schedule derived from them is
-  // identical -- pinned end to end here via the service bit-identity
-  // path on a routed topology.
+TEST(ShardedTopologyCache, RoutedServiceResponsesEqualRunSweep) {
+  // Two service workers resolving the same routed point both go through
+  // the process-wide cache that run_sweep uses, so each response equals
+  // the batch path's row.
   const Platform platform = make_paper_platform();
   const std::vector<analysis::SweepPoint> grid = {
       make_point("LU", 30, "heft-oneport", "mesh2x2"),

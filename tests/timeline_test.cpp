@@ -667,10 +667,6 @@ void replay_streams(const std::vector<std::vector<Slot>>& streams,
   }
 }
 
-bool is_one_port(const SchedulerEntry& entry) {
-  return entry.name.find("oneport") != std::string::npos;
-}
-
 /// Much larger DAGs on fewer processors than the sweep defaults: their
 /// streams hold hundreds of busy intervals, long enough for shuffled
 /// replays to defer middle inserts and flush the buffer.
@@ -710,7 +706,8 @@ TEST(TimelineOracleReplay, StaticSchedulesAgreeWithReference) {
       replay_streams(
           streams_of(scenario.graph,
                      entry.run(scenario.graph, scenario.platform), {},
-                     scenario.platform.num_processors(), is_one_port(entry)),
+                     scenario.platform.num_processors(),
+                     entry.model == CommModel::kOnePort),
           scenario.seed, totals);
       if (HasFatalFailure()) return;
     }
@@ -742,8 +739,7 @@ TEST(TimelineOracleReplay, DynamicSchedulesAgreeWithReference) {
             dyn::make_named_trace(trace_name, scenario.graph,
                                   scenario.platform, initial, scenario.seed);
         dyn::DynamicOptions options;
-        options.model = is_one_port(entry) ? CommModel::kOnePort
-                                           : CommModel::kMacroDataflow;
+        options.model = entry.model;
         const dyn::DynamicResult result =
             dyn::run_dynamic(scenario.graph, scenario.platform, entry.name,
                              config, trace, options);
@@ -751,7 +747,7 @@ TEST(TimelineOracleReplay, DynamicSchedulesAgreeWithReference) {
         replay_streams(
             streams_of(scenario.graph, result.schedule, result.stale_comms,
                        scenario.platform.num_processors(),
-                       is_one_port(entry)),
+                       entry.model == CommModel::kOnePort),
             scenario.seed, totals);
         if (HasFatalFailure()) return;
       }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -164,12 +165,52 @@ TEST(Args, LastDuplicateWinsAndEmptyValues) {
   EXPECT_EQ(args.get("flag", "fallback"), "");
 }
 
-TEST(Args, NonNumericValuesFallBackToZero) {
-  const char* argv[] = {"prog", "--n=abc", "--x=xyz"};
+TEST(Args, NonNumericValuesThrow) {
+  const char* argv[] = {"prog", "--n=abc", "--x=xyz", "--m=12x", "--y=1.5s",
+                        "--e=", "--big=99999999999"};
+  const Args args(7, argv);
+  // The whole value must parse: garbage, trailing characters, an empty
+  // value and an out-of-range integer are errors, not 0 or a prefix.
+  EXPECT_THROW((void)args.get_int("n", 5), std::invalid_argument);
+  EXPECT_THROW((void)args.get_double("x", 5.0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_int("m", 5), std::invalid_argument);
+  EXPECT_THROW((void)args.get_double("y", 5.0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_int("e", 5), std::invalid_argument);
+  EXPECT_THROW((void)args.get_int("big", 5), std::invalid_argument);
+  try {
+    (void)args.get_int("n", 5);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--n"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Args, NumbersParseInFull) {
+  const char* argv[] = {"prog", "--n=-7", "--x=2.5e-1"};
   const Args args(3, argv);
-  // std::atoi / std::atof semantics: unparsable -> 0 (not the fallback).
-  EXPECT_EQ(args.get_int("n", 5), 0);
-  EXPECT_DOUBLE_EQ(args.get_double("x", 5.0), 0.0);
+  EXPECT_EQ(args.get_int("n", 0), -7);
+  EXPECT_DOUBLE_EQ(args.get_double("x", 0.0), 0.25);
+  EXPECT_EQ(parse_number<unsigned>("42", "--shards"), 42u);
+  EXPECT_THROW((void)parse_number<unsigned>("-1", "--shards"),
+               std::invalid_argument);
+}
+
+TEST(Args, RequireKnownRejectsMisspelledFlags) {
+  const char* argv[] = {"prog", "--schedulers=heft-oneport", "--quiet",
+                        "positional"};
+  const Args args(4, argv);
+  EXPECT_NO_THROW(args.require_known({"schedulers", "quiet", "sizes"}));
+  try {
+    args.require_known({"scheduler", "quiet"});
+    FAIL() << "require_known accepted an unknown flag";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'--schedulers'"), std::string::npos) << what;
+    EXPECT_NE(what.find("--scheduler,"), std::string::npos) << what;
+  }
+  // Positionals are not flags.
+  const char* plain[] = {"prog", "file.dot"};
+  EXPECT_NO_THROW(Args(2, plain).require_known({}));
 }
 
 TEST(Args, NoArgumentsIsEmpty) {
