@@ -21,8 +21,10 @@
 //   * the one-port validator alone, on a HEFT schedule built outside the
 //     timed loop, so the checker's own cost has a trajectory.
 //
-// Timeline-dependent bench names end in "/gap-indexed": the suffix is
-// part of each name's trajectory key in bench/baseline.json.
+// Timeline-dependent bench names end in "/gap-indexed".  The paired perf
+// gate (bench/check_bench_trajectory.py) matches benches by full name
+// between a change and its parent, so renaming one shows as a parent
+// bench gone missing.
 //
 // Every bench forwards the per-thread scalability profiler: run with
 // ONEPORT_PROFILE=1 and the hot-path counter aggregate appears as

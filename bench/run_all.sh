@@ -11,9 +11,9 @@
 # The console output (figure tables + timings) still goes to stdout; the
 # JSON goes to OUT_DIR via --benchmark_out, so both artifacts survive.
 #
-# The gated trajectory set (scale/ incl. the n=100000 tier, routed/,
-# reschedule/, timeline/, service/, exact/, import/, validate/) all live in
-# bench_scale and ride through here like any other binary.  Run with
+# The families the perf gate compares (FAMILIES in
+# bench/check_bench_trajectory.py) all live in bench_scale and ride
+# through here like any other binary.  Run with
 # ONEPORT_PROFILE=1 to add the per-thread scalability counters as
 # prof_<name> entries to every JSON artifact (docs/PROFILING.md).
 set -euo pipefail

@@ -37,9 +37,7 @@ Platform make_two_rack_cluster() {
   return Platform({1.0, 1.0, 1.0, 2.0, 2.0, 2.0}, std::move(link));
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const Args args(argc, argv);
   args.require_known({"seed", "layers", "width", "c", "out"});
   testbeds::RandomDagOptions options;
@@ -78,4 +76,15 @@ int main(int argc, char** argv) {
     std::cout << "SVG written to " << file << "\n\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "cluster_gantt: " << e.what() << "\n";
+    return 1;
+  }
 }

@@ -17,7 +17,9 @@
 
 using namespace oneport;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const Args args(argc, argv);
   args.require_known({"testbed", "n", "c", "b"});
   const std::string testbed_name = args.get("testbed", "LU");
@@ -51,4 +53,15 @@ int main(int argc, char** argv) {
   }
   table.write_pretty(std::cout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "compare_heuristics: " << e.what() << "\n";
+    return 1;
+  }
 }

@@ -8,7 +8,6 @@
 //
 //   $ ./examples/np_hardness_demo --values=3,1,1,2,2,1
 #include <iostream>
-#include <sstream>
 
 #include "exact/reductions.hpp"
 #include "exact/two_partition.hpp"
@@ -22,18 +21,14 @@ namespace {
 
 std::vector<std::int64_t> parse_values(const std::string& csv) {
   std::vector<std::int64_t> values;
-  std::istringstream iss(csv);
-  std::string item;
-  while (std::getline(iss, item, ',')) {
+  for (const std::string& item : split_list(csv)) {
     values.push_back(parse_number<std::int64_t>(item, "--values"));
   }
   require(!values.empty(), "need at least one value");
   return values;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const Args args(argc, argv);
   args.require_known({"values"});
   const std::vector<std::int64_t> values =
@@ -91,4 +86,15 @@ int main(int argc, char** argv) {
   std::cout << "\nBoth bounds are met exactly when the partition exists -- "
                "the reductions at work.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "np_hardness_demo: " << e.what() << "\n";
+    return 1;
+  }
 }

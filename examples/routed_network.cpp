@@ -20,7 +20,9 @@
 
 using namespace oneport;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const Args args(argc, argv);
   args.require_known({"testbed", "n", "c"});
   const std::string testbed_name = args.get("testbed", "LAPLACE");
@@ -86,4 +88,15 @@ int main(int argc, char** argv) {
                "in the topology) cost makespan, the star's hub being the "
                "worst bottleneck.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "routed_network: " << e.what() << "\n";
+    return 1;
+  }
 }

@@ -31,7 +31,6 @@
 #include <fstream>
 #include <iostream>
 #include <random>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -44,26 +43,6 @@
 namespace {
 
 using namespace oneport;
-
-std::vector<std::string> split_list(const std::string& csv_list) {
-  std::vector<std::string> out;
-  std::stringstream ss(csv_list);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
-std::vector<int> split_ints(const std::string& csv_list) {
-  std::vector<int> out;
-  for (const std::string& item : split_list(csv_list)) {
-    const int value = parse_number<int>(item, "--sizes");
-    ensure(value > 0, "sizes must be positive integers, got '" + item + "'");
-    out.push_back(value);
-  }
-  return out;
-}
 
 /// The seeded request stream: request i is a uniform draw over the
 /// testbed/size/scheduler axes from an engine seeded once, so the same
@@ -164,7 +143,8 @@ int run(int argc, char** argv) {
 
   const std::vector<std::string> testbeds =
       split_list(args.get("testbeds", "LU,FORK-JOIN,STENCIL"));
-  const std::vector<int> sizes = split_ints(args.get("sizes", "20,40,80"));
+  const std::vector<int> sizes =
+      split_ints(args.get("sizes", "20,40,80"), "--sizes");
   const std::vector<std::string> schedulers =
       split_list(args.get("schedulers", "heft-oneport,ilha-oneport"));
   ensure(!testbeds.empty() && !sizes.empty() && !schedulers.empty(),

@@ -38,9 +38,9 @@
 // grid point is validated under its scheduler's communication model
 // unless --no-validate is given.
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -56,26 +56,6 @@
 namespace {
 
 using namespace oneport;
-
-std::vector<std::string> split_list(const std::string& csv_list) {
-  std::vector<std::string> out;
-  std::stringstream ss(csv_list);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
-std::vector<int> split_ints(const std::string& csv_list) {
-  std::vector<int> out;
-  for (const std::string& item : split_list(csv_list)) {
-    const int value = parse_number<int>(item, "--sizes");
-    ensure(value > 0, "sizes must be positive integers, got '" + item + "'");
-    out.push_back(value);
-  }
-  return out;
-}
 
 /// JSON string escaping for the few metadata fields we emit.
 std::string json_escape(const std::string& s) {
@@ -204,7 +184,8 @@ int run(int argc, char** argv) {
 
   const std::vector<std::string> testbeds =
       split_list(args.get("testbeds", "LU,FORK-JOIN"));
-  const std::vector<int> sizes = split_ints(args.get("sizes", "100,200"));
+  const std::vector<int> sizes =
+      split_ints(args.get("sizes", "100,200"), "--sizes");
   const std::vector<std::string> schedulers =
       split_list(args.get("schedulers", "heft-oneport,ilha-oneport"));
   const std::vector<std::string> topologies =
@@ -227,8 +208,13 @@ int run(int argc, char** argv) {
   const int audit_max_tasks = args.get_int("audit-max-tasks", 64);
   ensure(audit_max_tasks > 0, "--audit-max-tasks must be positive");
   const double comm_ratio = args.get_double("comm-ratio", 10.0);
+  ensure(std::isfinite(comm_ratio) && comm_ratio >= 0.0,
+         "--comm-ratio must be a finite non-negative number, got '" +
+             args.get("comm-ratio", "") + "'");
   const int chunk = args.get_int("chunk", 38);
   const int workers = args.get_int("workers", 0);
+  ensure(workers >= 0, "--workers must be non-negative (0 = one per "
+                       "hardware thread), got " + std::to_string(workers));
   const auto topology_seed =
       static_cast<std::uint64_t>(args.get_int("topology-seed", 1));
   ensure(!testbeds.empty() && !sizes.empty() && !schedulers.empty() &&

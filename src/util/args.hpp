@@ -31,6 +31,37 @@ template <typename T>
   return value;
 }
 
+/// Splits a comma-separated list, dropping empty items ("a,,b" gives
+/// {"a", "b"}).
+[[nodiscard]] inline std::vector<std::string> split_list(
+    std::string_view csv_list) {
+  std::vector<std::string> out;
+  while (!csv_list.empty()) {
+    const std::size_t comma = csv_list.find(',');
+    const std::string_view item = csv_list.substr(0, comma);
+    if (!item.empty()) out.emplace_back(item);
+    if (comma == std::string_view::npos) break;
+    csv_list.remove_prefix(comma + 1);
+  }
+  return out;
+}
+
+/// split_list of positive integers; a non-numeric or non-positive item
+/// throws std::invalid_argument naming `what`.
+[[nodiscard]] inline std::vector<int> split_ints(std::string_view csv_list,
+                                                 std::string_view what) {
+  std::vector<int> out;
+  for (const std::string& item : split_list(csv_list)) {
+    const int value = parse_number<int>(item, what);
+    if (value <= 0) {
+      throw std::invalid_argument(std::string(what) + ": '" + item +
+                                  "' is not a positive integer");
+    }
+    out.push_back(value);
+  }
+  return out;
+}
+
 class Args {
  public:
   Args(int argc, const char* const* argv) {

@@ -195,6 +195,29 @@ TEST(Args, NumbersParseInFull) {
                std::invalid_argument);
 }
 
+TEST(Args, SplitListDropsEmptyItems) {
+  EXPECT_EQ(split_list("LU,,STENCIL,"),
+            (std::vector<std::string>{"LU", "STENCIL"}));
+  EXPECT_EQ(split_list(",LU"), (std::vector<std::string>{"LU"}));
+  EXPECT_TRUE(split_list("").empty());
+  EXPECT_TRUE(split_list(",,").empty());
+}
+
+TEST(Args, SplitIntsTakesPositiveIntegersOnly) {
+  EXPECT_EQ(split_ints("100,,200", "--sizes"), (std::vector<int>{100, 200}));
+  EXPECT_THROW((void)split_ints("10,0", "--sizes"), std::invalid_argument);
+  EXPECT_THROW((void)split_ints("-5", "--sizes"), std::invalid_argument);
+  EXPECT_THROW((void)split_ints("10,2x", "--sizes"), std::invalid_argument);
+  EXPECT_THROW((void)split_ints("ten", "--sizes"), std::invalid_argument);
+  try {
+    (void)split_ints("40,0", "--sizes");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--sizes: '0'"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Args, RequireKnownRejectsMisspelledFlags) {
   const char* argv[] = {"prog", "--schedulers=heft-oneport", "--quiet",
                         "positional"};
