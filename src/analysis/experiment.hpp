@@ -159,7 +159,7 @@ struct SweepOptions {
 /// SweepOptions::validate; dynamic points (events != "none") are checked
 /// by the rescheduler's own internal invariants instead -- the static
 /// validators cannot judge a composite whose durations follow
-/// epoch-dependent cycle times (the D1-D5 battery in tests/support
+/// epoch-dependent cycle times (the D1-D4 battery in tests/support
 /// covers those properties).
 [[nodiscard]] std::vector<SweepResult> run_sweep(
     const std::vector<SweepPoint>& grid, const Platform& platform,

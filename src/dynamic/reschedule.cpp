@@ -18,6 +18,11 @@ namespace {
 
 using EdgeKey = std::pair<TaskId, TaskId>;
 
+/// Cycle time presented to the heuristic for dropped processors: large
+/// enough that no work lands there, finite so the heuristic's arithmetic
+/// stays well-defined.
+constexpr double kDropPenalty = 1e9;
+
 /// A pre-event chain for an edge whose endpoints are being rescheduled:
 /// the hops that already started (they run to completion and occupy
 /// their ports either way) plus whether the chain started in full (only
@@ -71,15 +76,14 @@ Residual build_residual(const TaskGraph& graph,
 /// The platform the heuristic sees: current cycle times, with dropped
 /// processors penalized so no work lands there, links unchanged (the
 /// network keeps relaying; only compute drops out).
-Platform heuristic_platform(const Platform& base, const LoopState& st,
-                            double drop_penalty) {
+Platform heuristic_platform(const Platform& base, const LoopState& st) {
   const int p = base.num_processors();
   std::vector<double> cyc(static_cast<std::size_t>(p));
   for (ProcId q = 0; q < p; ++q) {
     cyc[static_cast<std::size_t>(q)] =
         st.available[static_cast<std::size_t>(q)]
             ? st.cycle[static_cast<std::size_t>(q)]
-            : drop_penalty;
+            : kDropPenalty;
   }
   Matrix<double> link(static_cast<std::size_t>(p),
                       static_cast<std::size_t>(p));
@@ -288,8 +292,7 @@ DynamicResult run_dynamic(const TaskGraph& graph, const Platform& platform,
       old_chains.clear();
       return;
     }
-    const Platform seen = heuristic_platform(platform, st,
-                                             options.drop_penalty);
+    const Platform seen = heuristic_platform(platform, st);
     const Schedule plan = entry.run(res.graph, seen);
 
     std::vector<ProcId> assignment(res.to_orig.size(), -1);

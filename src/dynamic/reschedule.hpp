@@ -48,10 +48,6 @@ struct DynamicOptions {
   /// Run the load_balance skew-reduction pass on each epoch's suffix
   /// allocation before rebuilding it.
   bool rebalance = false;
-  /// Cycle time presented to the heuristic for dropped processors: large
-  /// enough that no work lands there, finite so the heuristic's
-  /// arithmetic stays well-defined.
-  double drop_penalty = 1e9;
 };
 
 /// State after one epoch of the event loop.  epochs[0] is the initial

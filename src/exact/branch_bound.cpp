@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cmath>
 #include <vector>
 
@@ -160,8 +159,6 @@ struct Search {
   double min_open_bound = kInf;
   std::uint64_t nodes_expanded = 0;
   bool budget_hit = false;
-  std::chrono::steady_clock::time_point deadline{};
-  bool has_deadline = false;
 
   /// Optimistic completion bound for the current partial schedule.
   [[nodiscard]] double node_bound() const {
@@ -181,12 +178,7 @@ struct Search {
   }
 
   [[nodiscard]] bool out_of_budget() const {
-    if (nodes_expanded >= options.node_budget) return true;
-    if (has_deadline && (nodes_expanded & 0x1ffu) == 0 &&
-        std::chrono::steady_clock::now() >= deadline) {
-      return true;
-    }
-    return false;
+    return nodes_expanded >= options.node_budget;
   }
 
   /// Earliest MD finish of ready task v on processor p: it starts once
@@ -351,13 +343,6 @@ BranchBoundResult branch_bound_lower_bound(const TaskGraph& g,
                                    ? options.routing->distances()
                                    : platform.link_matrix();
   Search search(g, platform, options, dist);
-  if (options.deadline_seconds > 0.0) {
-    search.has_deadline = true;
-    search.deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(options.deadline_seconds));
-  }
 
   const double root_bound = search.node_bound();
   if (static_cast<std::size_t>(options.max_search_tasks) < g.num_tasks()) {

@@ -1,6 +1,7 @@
 #include "graph/task_graph.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/error.hpp"
 
@@ -8,7 +9,8 @@ namespace oneport {
 
 TaskId TaskGraph::add_task(double weight, std::string name) {
   OP_REQUIRE(!finalized_, "cannot add tasks to a finalized graph");
-  OP_REQUIRE(weight >= 0.0, "task weight must be non-negative");
+  OP_REQUIRE(std::isfinite(weight) && weight >= 0.0,
+             "task weight must be finite and non-negative, got " << weight);
   const auto id = static_cast<TaskId>(weights_.size());
   weights_.push_back(weight);
   names_.push_back(std::move(name));
@@ -23,7 +25,9 @@ void TaskGraph::add_edge(TaskId src, TaskId dst, double data) {
   check_task(src);
   check_task(dst);
   OP_REQUIRE(src != dst, "self-loop on task " << src);
-  OP_REQUIRE(data >= 0.0, "edge data volume must be non-negative");
+  OP_REQUIRE(std::isfinite(data) && data >= 0.0,
+             "edge data volume must be finite and non-negative, got "
+                 << data << " on " << src << "->" << dst);
   OP_REQUIRE(!has_edge(src, dst), "duplicate edge " << src << "->" << dst);
   succ_[src].push_back({dst, data});
   pred_[dst].push_back({src, data});

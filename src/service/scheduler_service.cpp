@@ -8,6 +8,7 @@
 
 #include "util/error.hpp"
 #include "util/profiler.hpp"
+#include "util/thread_pool.hpp"
 
 namespace oneport::service {
 
@@ -46,13 +47,17 @@ SchedulerService::SchedulerService(const Platform& platform,
       depth_(options.queue_depth),
       batch_(options.batch_size),
       mode_(options.backpressure),
-      sweep_options_{.workers = 1, .validate = options.validate},
-      retry_after_ms_(options.retry_after_ms) {
+      sweep_options_{.workers = 1, .validate = options.validate} {
   OP_REQUIRE(depth_ > 0, "ServiceOptions::queue_depth must be positive");
   OP_REQUIRE(batch_ > 0, "ServiceOptions::batch_size must be positive");
-  pool_ = std::make_unique<ThreadPool>(std::max(2u, shards_));
-  for (unsigned shard = 0; shard < shards_; ++shard) {
-    pool_->submit([this, shard] { worker_loop(shard); });
+  workers_.reserve(shards_);
+  try {
+    for (unsigned shard = 0; shard < shards_; ++shard) {
+      workers_.emplace_back([this, shard] { worker_loop(shard); });
+    }
+  } catch (...) {
+    stop();  // join the shards already started before unwinding
+    throw;
   }
 }
 
@@ -70,7 +75,7 @@ Ticket SchedulerService::submit(analysis::SweepPoint point) {
       if (queue_.size() >= depth_ || stopping_) {
         ++rejected_;
         prof::bump(prof::Counter::kServiceRejects);
-        ticket.retry_after_ms = retry_after_ms_;
+        ticket.retry_after_ms = kRetryAfterMs;
         return ticket;
       }
     } else {
@@ -78,7 +83,7 @@ Ticket SchedulerService::submit(analysis::SweepPoint point) {
       if (stopping_) {
         ++rejected_;
         prof::bump(prof::Counter::kServiceRejects);
-        ticket.retry_after_ms = retry_after_ms_;
+        ticket.retry_after_ms = kRetryAfterMs;
         return ticket;
       }
     }
@@ -160,17 +165,16 @@ void SchedulerService::drain() {
 void SchedulerService::stop() {
   {
     util::MutexLock lock(mutex_);
-    if (stopping_ && pool_ == nullptr) return;
     stopping_ = true;
   }
   // Wake the workers (to drain and exit) and any parked submitters (to
   // return rejected tickets).
   not_empty_.notify_all();
   not_full_.notify_all();
-  if (pool_ != nullptr) {
-    pool_->wait_idle();  // worker loops return once the queue is drained
-    pool_.reset();
-  }
+  // Worker loops return once the queue is drained; a second stop() finds
+  // the vector empty.
+  for (std::thread& worker : workers_) worker.join();
+  workers_.clear();
 }
 
 ServiceStats SchedulerService::stats() const {

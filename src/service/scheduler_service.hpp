@@ -1,6 +1,5 @@
-// Scheduler-as-a-service: a long-running batched request server over the
-// thread pool (the ISSUE-9 tentpole; the full design narrative lives in
-// docs/SERVICE.md).
+// Scheduler-as-a-service: a long-running batched request server with one
+// thread per shard (the full design narrative lives in docs/SERVICE.md).
 //
 // Shape, in the nfos data-plane idiom:
 //
@@ -13,14 +12,14 @@
 //     the selected backpressure policy -- kBlock parks the submitter on
 //     a not-full condvar, kReject returns an unaccepted ticket with a
 //     retry-after hint and bumps the reject counter;
-//   * N shard workers (threads of a util/thread_pool.hpp pool owned by
-//     the service) drain up to `batch_size` requests per wake -- one
-//     lock acquisition admits a whole batch, so queue-mutex traffic
-//     scales with batches, not requests;
+//   * N shard workers, each a std::thread the service starts in its
+//     constructor and joins in stop(), drain up to `batch_size` requests
+//     per wake -- one lock acquisition admits a whole batch, so
+//     queue-mutex traffic scales with batches, not requests;
 //   * routed platforms resolve through the process-wide sharded cache
 //     (analysis::process_topology_cache), the same one run_sweep uses;
 //   * every request runs through analysis::run_sweep_point -- the exact
-//     executor run_sweep farms over the pool -- so a service schedule is
+//     executor run_sweep farms over its lanes -- so a service schedule is
 //     bit-identical to the same job run through the batch path
 //     (tests/service_test.cpp pins this);
 //   * per-request latency (enqueue -> completion) lands in the response,
@@ -33,14 +32,13 @@
 #include <cstdint>
 #include <deque>
 #include <future>
-#include <memory>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "analysis/experiment.hpp"
 #include "platform/platform.hpp"
 #include "util/annotations.hpp"
-#include "util/thread_pool.hpp"
 
 namespace oneport::service {
 
@@ -50,6 +48,10 @@ enum class Backpressure { kBlock, kReject };
 /// Parses "block"/"reject" (throws std::invalid_argument otherwise).
 [[nodiscard]] Backpressure parse_backpressure(std::string_view name);
 [[nodiscard]] const char* backpressure_name(Backpressure mode) noexcept;
+
+/// Retry-after hint handed back with every rejected ticket, in
+/// milliseconds.
+inline constexpr int kRetryAfterMs = 1;
 
 struct ServiceOptions {
   /// Shard workers; 0 = ThreadPool::default_workers() (hardware
@@ -63,8 +65,6 @@ struct ServiceOptions {
   Backpressure backpressure = Backpressure::kBlock;
   /// Validate every static schedule (same meaning as SweepOptions).
   bool validate = true;
-  /// Retry-after hint handed back on kReject, in milliseconds.
-  int retry_after_ms = 1;
 };
 
 /// One completed request.
@@ -80,7 +80,7 @@ struct Response {
 /// submit()'s result.  When `accepted`, `response` resolves once a shard
 /// worker completes (or faults) the request; when rejected (kReject
 /// backpressure on a full queue, or submit after stop), `response` is
-/// invalid and `retry_after_ms` hints when to try again.
+/// invalid and `retry_after_ms` (kRetryAfterMs) hints when to try again.
 struct Ticket {
   bool accepted = false;
   int retry_after_ms = 0;
@@ -153,7 +153,6 @@ class SchedulerService {
   std::size_t batch_;
   Backpressure mode_;
   analysis::SweepOptions sweep_options_;
-  int retry_after_ms_;
 
   mutable util::Mutex mutex_;
   util::CondVar not_empty_;
@@ -169,11 +168,9 @@ class SchedulerService {
   std::size_t peak_depth_ OP_GUARDED_BY(mutex_) = 0;
   std::vector<std::uint64_t> latencies_ OP_GUARDED_BY(mutex_);
 
-  // Declared last so the worker threads die before any state they touch.
-  // The pool is sized max(2, shards): a 1-thread ThreadPool runs jobs
-  // inline on the submitting thread, which would turn the first
-  // worker-loop submission into a deadlock in the constructor.
-  std::unique_ptr<ThreadPool> pool_;
+  // One thread per shard, started by the constructor and joined (then
+  // cleared) by stop().  Only the owning thread touches the vector.
+  std::vector<std::thread> workers_;
 };
 
 /// Sorted-vector percentile in milliseconds (q in [0, 1], nearest-rank);

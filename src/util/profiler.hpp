@@ -40,8 +40,8 @@ enum class Counter : std::uint32_t {
   kEngineCommits,          ///< EftEngine::commit calls
   kGapDeferredInserts,     ///< GapTimeline middle inserts buffered
   kGapFlushes,             ///< GapTimeline deferred-buffer compactions
-  kPoolTasks,              ///< thread-pool jobs executed
-  kPoolTaskNanos,          ///< total wall nanoseconds inside pool jobs
+  kPoolTasks,              ///< parallel_for lanes completed
+  kPoolTaskNanos,          ///< total wall nanoseconds inside those lanes
   kServiceRequests,        ///< scheduler-service requests completed
   kServiceBatches,         ///< scheduler-service admission batches drained
   kServiceRejects,         ///< requests rejected by backpressure

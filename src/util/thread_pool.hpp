@@ -1,38 +1,37 @@
-// A small fixed-size worker pool for farming independent experiment
-// points (scheduler runs are pure functions of graph x platform, so the
-// only shared state a job needs is read-only).
+// A fork-join helper for farming independent experiment points
+// (scheduler runs are pure functions of graph x platform, so the only
+// shared state a point needs is read-only).
 //
 // Design notes:
-//   * submit() enqueues a job; wait_idle() blocks until the queue is
-//     drained AND every worker finished -- together they give a simple
-//     fork/join.  parallel_for() wraps the pair with an atomic index so
-//     results land in caller-owned slots, which keeps output ordering
-//     deterministic regardless of which worker finishes first.
-//   * exceptions thrown by jobs are captured; the first one is rethrown
-//     from wait_idle()/parallel_for() on the calling thread, so a failed
-//     validation inside a worker still fails the sweep loudly.
-//   * a pool of size 1 never spawns threads: jobs run inline on the
-//     caller, which keeps single-core machines and ONEPORT_WORKERS=1
-//     runs free of threading overhead (and trivially deterministic).
-//   * all cross-thread state is OP_GUARDED_BY(mutex_); Clang's
-//     -Wthread-safety proves every access takes the lock (see
-//     src/util/annotations.hpp), and the TSan CI leg checks the same
-//     dynamically under contention (tests/concurrency_stress_test.cpp).
+//   * ThreadPool only stores a width; parallel_for() is the whole API.
+//     Each call starts min(count, width) lanes -- the caller runs lane 0
+//     itself, the rest run on threads that live for that one call --
+//     and joins them before returning.  Lanes pull indices from an
+//     atomic counter, and results land in caller-owned slots, so output
+//     ordering is deterministic regardless of which lane finishes first.
+//   * a lane that throws stops pulling indices and parks its exception
+//     in its own slot; after the join the lowest lane's exception is
+//     rethrown on the calling thread, so a failed validation inside a
+//     lane still fails the sweep loudly.  Each lane writes only its own
+//     slot and the join orders those writes before the read, so there
+//     is no lock and nothing for -Wthread-safety to check.
+//   * one lane (width 1, or a single index) never spawns a thread: fn
+//     runs inline on the caller, which keeps single-core machines and
+//     ONEPORT_WORKERS=1 runs free of threading overhead (and trivially
+//     deterministic).
+//   * the TSan CI leg checks the fork/join under contention
+//     (tests/concurrency_stress_test.cpp).
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
-#include <deque>
+#include <cstddef>
+#include <cstdint>
 #include <exception>
-#include <functional>
-#include <memory>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
-#include "util/annotations.hpp"
 #include "util/env_knobs.hpp"
 #include "util/profiler.hpp"
 
@@ -42,29 +41,10 @@ class ThreadPool {
  public:
   /// `workers` == 0 picks ONEPORT_WORKERS, falling back to the hardware
   /// concurrency (at least 1).
-  explicit ThreadPool(unsigned workers = 0) {
-    if (workers == 0) workers = default_workers();
-    workers_count_ = workers;
-    if (workers < 2) return;  // inline mode, no threads
-    threads_.reserve(workers);
-    for (unsigned i = 0; i < workers; ++i) {
-      threads_.emplace_back([this] { worker_loop(); });
-    }
-  }
+  explicit ThreadPool(unsigned workers = 0)
+      : width_(workers == 0 ? default_workers() : workers) {}
 
-  ~ThreadPool() {
-    {
-      util::MutexLock lock(mutex_);
-      stop_ = true;
-    }
-    work_cv_.notify_all();
-    for (std::thread& t : threads_) t.join();
-  }
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  [[nodiscard]] unsigned size() const noexcept { return workers_count_; }
+  [[nodiscard]] unsigned size() const noexcept { return width_; }
 
   [[nodiscard]] static unsigned default_workers() noexcept {
     const long knob = env::integer(env::Knob::kWorkers, 0);
@@ -73,120 +53,65 @@ class ThreadPool {
     return hw == 0 ? 1 : hw;
   }
 
-  /// Enqueues `job`; runs it inline when the pool has no threads.
-  void submit(std::function<void()> job) {
-    if (threads_.empty()) {
-      run_job(job);
-      return;
-    }
-    {
-      util::MutexLock lock(mutex_);
-      queue_.push_back(std::move(job));
-      ++pending_;
-    }
-    work_cv_.notify_one();
-  }
-
-  /// Blocks until every submitted job has finished, then rethrows the
-  /// first captured job exception (if any).
-  void wait_idle() {
-    util::MutexLock lock(mutex_);
-    while (pending_ != 0) idle_cv_.wait(lock);
-    if (first_error_) {
-      std::exception_ptr error = first_error_;
-      first_error_ = nullptr;
-      std::rethrow_exception(error);
-    }
-  }
-
-  /// Runs fn(i) for every i in [0, count) across the pool and blocks
-  /// until all complete; rethrows the first job exception.
+  /// Runs fn(i) for every i in [0, count) on up to size() lanes and
+  /// blocks until all complete; rethrows a lane's exception.
   template <typename Fn>
-  void parallel_for(std::size_t count, Fn&& fn) {
-    if (count == 0) return;
-    if (threads_.empty()) {
+  void parallel_for(std::size_t count, Fn&& fn) const {
+    const std::size_t lanes = std::min<std::size_t>(count, width_);
+    if (lanes <= 1) {
       for (std::size_t i = 0; i < count; ++i) fn(i);
       return;
     }
-    auto next = std::make_shared<std::atomic<std::size_t>>(0);
-    auto body = std::make_shared<std::decay_t<Fn>>(std::forward<Fn>(fn));
-    const std::size_t lanes =
-        std::min<std::size_t>(count, workers_count_);
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      submit([next, body, count] {
-        for (std::size_t i = next->fetch_add(1); i < count;
-             i = next->fetch_add(1)) {
-          (*body)(i);
-        }
-      });
-    }
-    wait_idle();
-  }
-
- private:
-  void run_job(std::function<void()>& job) {
-    try {
-      // Profiler wiring: completed jobs count toward kPoolTasks and
-      // their wall time toward kPoolTaskNanos, each on the worker's own
-      // slab.  The clock is read only while the profiler is enabled, so
-      // the disabled path stays a relaxed load + untaken branch.
-      if (prof::enabled()) {
-        const auto t0 = std::chrono::steady_clock::now();
-        job();
-        const auto dt = std::chrono::steady_clock::now() - t0;
-        prof::bump(prof::Counter::kPoolTasks);
-        prof::bump(
-            prof::Counter::kPoolTaskNanos,
-            static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(dt)
-                    .count()));
-      } else {
-        job();
+    std::atomic<std::size_t> next{0};
+    std::vector<std::exception_ptr> errors(lanes);
+    const auto lane = [&](std::size_t slot) {
+      try {
+        run_lane([&] {
+          for (std::size_t i = next.fetch_add(1); i < count;
+               i = next.fetch_add(1)) {
+            fn(i);
+          }
+        });
+      } catch (...) {
+        errors[slot] = std::current_exception();
       }
-    } catch (...) {
-      util::MutexLock lock(mutex_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    if (!threads_.empty()) {
-      util::MutexLock lock(mutex_);
-      if (--pending_ == 0) idle_cv_.notify_all();
-    } else {
-      // Inline mode: surface the failure immediately, like wait_idle().
-      // The lock is uncontended (no threads exist) but keeps the
-      // guarded-member access pattern uniform for the static analysis.
-      std::exception_ptr error;
-      {
-        util::MutexLock lock(mutex_);
-        error = first_error_;
-        first_error_ = nullptr;
+    };
+    {
+      // jthreads join on destruction, also when a later spawn throws.
+      std::vector<std::jthread> threads;
+      threads.reserve(lanes - 1);
+      for (std::size_t slot = 1; slot < lanes; ++slot) {
+        threads.emplace_back(lane, slot);
       }
+      lane(0);
+    }
+    for (const std::exception_ptr& error : errors) {
       if (error) std::rethrow_exception(error);
     }
   }
 
-  void worker_loop() {
-    while (true) {
-      std::function<void()> job;
-      {
-        util::MutexLock lock(mutex_);
-        while (!stop_ && queue_.empty()) work_cv_.wait(lock);
-        if (queue_.empty()) return;  // stop_ set and nothing left to run
-        job = std::move(queue_.front());
-        queue_.pop_front();
-      }
-      run_job(job);
+ private:
+  /// Profiler wiring: each completed lane counts toward kPoolTasks and
+  /// its wall time toward kPoolTaskNanos, on the running thread's own
+  /// slab.  The clock is read only while the profiler is enabled, so the
+  /// disabled path stays a relaxed load + untaken branch.
+  template <typename Body>
+  static void run_lane(const Body& body) {
+    if (!prof::enabled()) {
+      body();
+      return;
     }
+    const auto t0 = std::chrono::steady_clock::now();
+    body();
+    const auto dt = std::chrono::steady_clock::now() - t0;
+    prof::bump(prof::Counter::kPoolTasks);
+    prof::bump(prof::Counter::kPoolTaskNanos,
+               static_cast<std::uint64_t>(
+                   std::chrono::duration_cast<std::chrono::nanoseconds>(dt)
+                       .count()));
   }
 
-  unsigned workers_count_ = 1;
-  std::vector<std::thread> threads_;  // written once, before workers run
-  util::Mutex mutex_;
-  util::CondVar work_cv_;
-  util::CondVar idle_cv_;
-  std::deque<std::function<void()>> queue_ OP_GUARDED_BY(mutex_);
-  std::size_t pending_ OP_GUARDED_BY(mutex_) = 0;
-  std::exception_ptr first_error_ OP_GUARDED_BY(mutex_);
-  bool stop_ OP_GUARDED_BY(mutex_) = false;
+  unsigned width_;
 };
 
 }  // namespace oneport

@@ -1,9 +1,8 @@
-// Concurrency stress for the repo's three load-bearing shared-state
-// sites: the thread pool (contended submit/drain, exceptions inside
-// tasks), the process-wide sharded routed-platform cache, and the
-// profiler's per-thread slab
-// registry.  (The scheduler service built on top of all three has its
-// own battery in tests/service_test.cpp.)
+// Concurrency stress for the repo's load-bearing shared state and its
+// fork-join helper: the thread pool (repeated fork/join, exceptions
+// inside lanes), the process-wide sharded routed-platform cache, and the
+// profiler's per-thread slab registry.  (The scheduler service built on
+// top of all three has its own battery in tests/service_test.cpp.)
 //
 // These suites are the dynamic half of the static correctness layer:
 // Clang -Wthread-safety proves lock discipline over the
@@ -11,9 +10,9 @@
 // under BOTH sanitizer CI legs (label `pool`: the ASan+UBSan job's full
 // battery and the TSan job's pool slice) to catch what annotations
 // cannot -- ordering bugs, missed notifications, racy initialization.
-// Worker counts are forced >= 4 so the pool really spawns threads even
-// on single-core runners (ThreadPool(0) would collapse to inline mode
-// there and test nothing).
+// Worker counts are forced >= 4 so parallel_for really spawns threads
+// even on single-core runners (ThreadPool(0) would collapse to inline
+// mode there and test nothing).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -37,18 +36,17 @@ constexpr unsigned kWorkers = 4;
 // ------------------------------------------------------------ thread pool
 
 TEST(ThreadPoolStress, ContendedSubmitDrainCycles) {
-  ThreadPool pool(kWorkers);
+  const ThreadPool pool(kWorkers);
   ASSERT_EQ(pool.size(), kWorkers);
   std::atomic<std::uint64_t> sum{0};
-  // Many fork/join rounds of many tiny jobs: maximal contention on the
-  // queue mutex and the pending-counter/idle-condvar handshake.
+  // Many fork/join rounds of many tiny indices on one pool: every round
+  // spawns, races on the shared index counter, and joins its lanes.
   constexpr int kRounds = 50;
-  constexpr int kJobsPerRound = 64;
+  constexpr std::size_t kJobsPerRound = 64;
   for (int round = 0; round < kRounds; ++round) {
-    for (int job = 0; job < kJobsPerRound; ++job) {
-      pool.submit([&sum] { sum.fetch_add(1, std::memory_order_relaxed); });
-    }
-    pool.wait_idle();
+    pool.parallel_for(kJobsPerRound, [&sum](std::size_t) {
+      sum.fetch_add(1, std::memory_order_relaxed);
+    });
   }
   EXPECT_EQ(sum.load(), static_cast<std::uint64_t>(kRounds * kJobsPerRound));
 }
@@ -65,22 +63,26 @@ TEST(ThreadPoolStress, ParallelForWritesEverySlotExactlyOnce) {
 }
 
 TEST(ThreadPoolStress, FirstTaskExceptionRethrownPoolStaysUsable) {
-  ThreadPool pool(kWorkers);
+  const ThreadPool pool(kWorkers);
   std::atomic<int> ran{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&ran, i] {
-      ran.fetch_add(1, std::memory_order_relaxed);
-      if (i % 10 == 3) {
-        throw std::runtime_error("task " + std::to_string(i) + " failed");
-      }
-    });
-  }
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  // Every job still ran (a throwing job must not wedge the drain)...
-  EXPECT_EQ(ran.load(), 100);
-  // ...the error slot was consumed by the rethrow...
-  pool.wait_idle();
-  // ...and the pool accepts and completes new work afterwards.
+  EXPECT_THROW(pool.parallel_for(100,
+                                 [&ran](std::size_t i) {
+                                   ran.fetch_add(1, std::memory_order_relaxed);
+                                   if (i % 10 == 3) {
+                                     throw std::runtime_error(
+                                         "task " + std::to_string(i) +
+                                         " failed");
+                                   }
+                                 }),
+               std::runtime_error);
+  // Every lane stops pulling indices at its first throw and the others
+  // keep going, so the kWorkers lanes ran exactly the prefix holding the
+  // first kWorkers throwing indices (3, 13, 23, 33) and not 43: the
+  // join returned, and no throwing lane wedged it...
+  EXPECT_GE(ran.load(), 34);
+  EXPECT_LE(ran.load(), 43);
+  // ...and the same object completes a clean call afterwards, with no
+  // error left over from the first one.
   std::atomic<int> after{0};
   pool.parallel_for(32, [&after](std::size_t) {
     after.fetch_add(1, std::memory_order_relaxed);
@@ -96,19 +98,6 @@ TEST(ThreadPoolStress, ParallelForRethrowsFromWorker) {
                           if (i == 777) throw std::logic_error("boom");
                         }),
       std::logic_error);
-}
-
-TEST(ThreadPoolStress, DestructorDrainsQueuedJobs) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(kWorkers);
-    for (int i = 0; i < 200; ++i) {
-      pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-    }
-    // No wait_idle(): destruction must still run every queued job before
-    // joining (workers drain the queue after stop).
-  }
-  EXPECT_EQ(ran.load(), 200);
 }
 
 // ----------------------------------------- process_topology_cache()

@@ -1,6 +1,6 @@
 // Online rescheduling (src/dynamic): the fault-injection sweep plays
 // every named event trace against every registry heuristic over dense,
-// edge-case, and routed topologies, and the D1-D5 battery replays the
+// edge-case, and routed topologies, and the D1-D4 battery replays the
 // frozen prefix and validates each epoch's rescheduled suffix hop by
 // hop.  Unit tests pin the empty-trace static anchor, the rebalancing
 // hook, arrival release floors, determinism, and trace validation.

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "graph/dot_export.hpp"
 #include "graph/graph_algorithms.hpp"
@@ -48,6 +51,33 @@ TEST(TaskGraph, RejectsBadInput) {
   EXPECT_THROW(g.add_edge(a, b, -2.0), std::invalid_argument);
   g.add_edge(a, b, 1.0);
   EXPECT_THROW(g.add_edge(a, b, 1.0), std::invalid_argument);  // duplicate
+}
+
+// An infinite or NaN weight or data volume would poison every finish
+// time downstream (an infinite link cost reads as "no link"), so the
+// graph rejects it up front, naming the value.
+TEST(TaskGraph, RejectsNonFiniteWeightAndData) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto expect_rejected = [](const auto& call, const char* value) {
+    try {
+      call();
+      ADD_FAILURE() << "accepted " << value;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("finite"), std::string::npos) << what;
+      EXPECT_NE(what.find(value), std::string::npos) << what;
+    }
+  };
+  TaskGraph g;
+  expect_rejected([&] { g.add_task(inf); }, "inf");
+  expect_rejected([&] { g.add_task(nan); }, "nan");
+  EXPECT_EQ(g.num_tasks(), 0u);
+  const TaskId a = g.add_task(1.0);
+  const TaskId b = g.add_task(1.0);
+  expect_rejected([&] { g.add_edge(a, b, inf); }, "inf");
+  expect_rejected([&] { g.add_edge(a, b, nan); }, "nan");
+  EXPECT_EQ(g.num_edges(), 0u);
 }
 
 TEST(TaskGraph, FrozenAfterFinalize) {

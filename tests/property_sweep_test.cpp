@@ -2,8 +2,8 @@
 // models, over seeded random DAG x platform scenarios plus hand-picked
 // degenerate workloads.  Each (scenario, scheduler) pair is pushed
 // through the full invariant battery of tests/support/invariants.hpp:
-// validation, makespan lower bounds, replay dominance, serialize
-// round-trip, and communication bounds.
+// validation, makespan lower bounds, replay dominance, and
+// communication bounds.
 //
 // Scenarios come in two flavours: fully-connected platforms
 // (scenario_sweep) and sparse routed topologies -- ring, star, random

@@ -105,22 +105,17 @@ TEST(SchedulerService, ContendedSubmitDrainCompletesEverything) {
   constexpr std::size_t kSubmitters = 4;
   constexpr std::size_t kPerSubmitter = 32;
   std::atomic<std::uint64_t> resolved{0};
-  {
-    ThreadPool submitters(kWorkers);
-    for (std::size_t s = 0; s < kSubmitters; ++s) {
-      submitters.submit([&svc, &resolved] {
-        for (std::size_t i = 0; i < kPerSubmitter; ++i) {
-          service::Ticket ticket =
-              svc.submit(make_point("FORK-JOIN", 10, "heft-oneport"));
-          ASSERT_TRUE(ticket.accepted);  // block mode never rejects live
-          const service::Response response = ticket.response.get();
-          EXPECT_EQ(response.result.point.testbed, "FORK-JOIN");
-          resolved.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
+  const ThreadPool submitters(kWorkers);
+  submitters.parallel_for(kSubmitters, [&svc, &resolved](std::size_t) {
+    for (std::size_t i = 0; i < kPerSubmitter; ++i) {
+      service::Ticket ticket =
+          svc.submit(make_point("FORK-JOIN", 10, "heft-oneport"));
+      ASSERT_TRUE(ticket.accepted);  // block mode never rejects live
+      const service::Response response = ticket.response.get();
+      EXPECT_EQ(response.result.point.testbed, "FORK-JOIN");
+      resolved.fetch_add(1, std::memory_order_relaxed);
     }
-    submitters.wait_idle();
-  }
+  });
   svc.drain();
   const service::ServiceStats stats = svc.stats();
   EXPECT_EQ(resolved.load(), kSubmitters * kPerSubmitter);
@@ -143,7 +138,6 @@ TEST(SchedulerService, RejectModePartitionsTicketsCleanly) {
   options.queue_depth = 1;
   options.batch_size = 1;
   options.backpressure = service::Backpressure::kReject;
-  options.retry_after_ms = 7;
   service::SchedulerService svc(platform, options);
 
   constexpr int kAttempts = 64;
@@ -155,9 +149,9 @@ TEST(SchedulerService, RejectModePartitionsTicketsCleanly) {
     if (ticket.accepted) {
       accepted.push_back(std::move(ticket));
     } else {
-      // Rejection is fully described: the hint is the configured one and
-      // no future was attached.
-      EXPECT_EQ(ticket.retry_after_ms, 7);
+      // Rejection is fully described: the hint is the service constant
+      // and no future was attached.
+      EXPECT_EQ(ticket.retry_after_ms, service::kRetryAfterMs);
       EXPECT_FALSE(ticket.response.valid());
       ++rejected;
     }
@@ -179,7 +173,6 @@ TEST(SchedulerService, SubmitAfterStopRejectsDeterministically) {
   const Platform platform = make_paper_platform();
   service::ServiceOptions options;
   options.shards = 1;
-  options.retry_after_ms = 3;
   service::SchedulerService svc(platform, options);
   service::Ticket before =
       svc.submit(make_point("FORK-JOIN", 10, "heft-oneport"));
@@ -191,7 +184,7 @@ TEST(SchedulerService, SubmitAfterStopRejectsDeterministically) {
     service::Ticket after =
         svc.submit(make_point("FORK-JOIN", 10, "heft-oneport"));
     EXPECT_FALSE(after.accepted);
-    EXPECT_EQ(after.retry_after_ms, 3);
+    EXPECT_EQ(after.retry_after_ms, service::kRetryAfterMs);
     EXPECT_FALSE(after.response.valid());
   }
   EXPECT_EQ(svc.stats().completed, 1u);

@@ -6,7 +6,6 @@
 #include "support/bb_reference.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <vector>
 
@@ -52,8 +51,6 @@ struct Search {
   double min_open_bound = kInf;
   std::uint64_t nodes_expanded = 0;
   bool budget_hit = false;
-  std::chrono::steady_clock::time_point deadline{};
-  bool has_deadline = false;
 
   [[nodiscard]] double link_cost(int from, int to) const {
     return (*dist)(static_cast<std::size_t>(from),
@@ -83,13 +80,8 @@ struct Search {
     return bound;
   }
 
-  [[nodiscard]] bool out_of_budget() {
-    if (nodes_expanded >= options.node_budget) return true;
-    if (has_deadline && (nodes_expanded & 0x1ffu) == 0 &&
-        std::chrono::steady_clock::now() >= deadline) {
-      return true;
-    }
-    return false;
+  [[nodiscard]] bool out_of_budget() const {
+    return nodes_expanded >= options.node_budget;
   }
 
   void place(TaskId v, int p, double start_time) {
@@ -257,13 +249,6 @@ BranchBoundResult reference_branch_bound_lower_bound(
     search.missing_preds[v] = static_cast<int>(g.in_degree(v));
   }
   search.remaining_weight = g.total_weight();
-  if (options.deadline_seconds > 0.0) {
-    search.has_deadline = true;
-    search.deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(options.deadline_seconds));
-  }
 
   const double root_bound = search.node_bound();
   if (static_cast<std::size_t>(options.max_search_tasks) < g.num_tasks()) {

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "sched/interval.hpp"
-#include "sched/serialize.hpp"
 
 namespace oneport::testsupport {
 namespace {
@@ -417,27 +416,6 @@ std::vector<std::string> check_dynamic_lower_bounds(
   return errors;
 }
 
-std::vector<std::string> check_dynamic_serialize(
-    const DynamicScenario& scenario, const DynamicResult& result) {
-  std::vector<std::string> errors;
-  (void)scenario;
-  std::stringstream io;
-  write_schedule(io, result.schedule);
-  Schedule reread;
-  try {
-    reread = read_schedule(io);
-  } catch (const std::exception& e) {
-    errors.push_back(std::string("final schedule failed to re-parse: ") +
-                     e.what());
-    return errors;
-  }
-  if (reread.tasks() != result.schedule.tasks() ||
-      reread.comms() != result.schedule.comms()) {
-    errors.push_back("final schedule round-trip is not bit-exact");
-  }
-  return errors;
-}
-
 std::vector<std::string> check_all_dynamic_invariants(
     const DynamicScenario& scenario, const DynamicResult& result) {
   std::vector<std::string> all;
@@ -453,7 +431,6 @@ std::vector<std::string> check_all_dynamic_invariants(
   absorb("D2/frozen-prefix", check_frozen_prefix(scenario, result));
   absorb("D3/epoch-validity", check_epoch_validity(scenario, result));
   absorb("D4/lower-bounds", check_dynamic_lower_bounds(scenario, result));
-  absorb("D5/serialize", check_dynamic_serialize(scenario, result));
   return all;
 }
 

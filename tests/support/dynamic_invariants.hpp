@@ -29,9 +29,7 @@
 //                     the link matrix;
 //   D4 lower bounds   the final makespan dominates optimistic area /
 //                     critical-path / release-time bounds built from
-//                     the *best* cycle time any epoch ever offered;
-//   D5 serialize      the final composite schedule round-trips through
-//                     the text format bit-exactly.
+//                     the *best* cycle time any epoch ever offered.
 #pragma once
 
 #include <string>
@@ -64,10 +62,7 @@ struct DynamicScenario {
 [[nodiscard]] std::vector<std::string> check_dynamic_lower_bounds(
     const DynamicScenario& scenario, const dyn::DynamicResult& result);
 
-[[nodiscard]] std::vector<std::string> check_dynamic_serialize(
-    const DynamicScenario& scenario, const dyn::DynamicResult& result);
-
-/// Runs D1-D5 and returns every violation, each prefixed with the
+/// Runs D1-D4 and returns every violation, each prefixed with the
 /// scenario description and the property id (mirrors
 /// check_all_invariants for static schedules).
 [[nodiscard]] std::vector<std::string> check_all_dynamic_invariants(

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "sched/interval.hpp"
-#include "sched/serialize.hpp"
 #include "sched/validate.hpp"
 
 namespace oneport::testsupport {
@@ -125,66 +124,6 @@ std::vector<std::string> check_replay_dominance(const Scenario& scenario,
   return errors;
 }
 
-std::vector<std::string> check_serialize_round_trip(const Scenario& scenario,
-                                                    const Schedule& schedule,
-                                                    CommModel model) {
-  std::vector<std::string> errors;
-
-  std::stringstream graph_io;
-  write_task_graph(graph_io, scenario.graph);
-  TaskGraph graph2;
-  try {
-    graph2 = read_task_graph(graph_io);
-  } catch (const std::exception& e) {
-    errors.push_back(std::string("graph round-trip failed to parse: ") +
-                     e.what());
-    return errors;
-  }
-  if (graph2.num_tasks() != scenario.graph.num_tasks() ||
-      graph2.num_edges() != scenario.graph.num_edges()) {
-    errors.push_back("graph round-trip changed the shape");
-    return errors;
-  }
-  for (TaskId v = 0; v < scenario.graph.num_tasks(); ++v) {
-    if (graph2.weight(v) != scenario.graph.weight(v)) {
-      errors.push_back("graph round-trip changed weight of task " +
-                       std::to_string(v));
-    }
-    for (const EdgeRef& out : scenario.graph.successors(v)) {
-      if (!graph2.has_edge(v, out.task) ||
-          graph2.edge_data(v, out.task) != out.data) {
-        errors.push_back("graph round-trip lost or changed edge " +
-                         std::to_string(v) + "->" + std::to_string(out.task));
-      }
-    }
-  }
-
-  std::stringstream sched_io;
-  write_schedule(sched_io, schedule);
-  Schedule schedule2;
-  try {
-    schedule2 = read_schedule(sched_io);
-  } catch (const std::exception& e) {
-    errors.push_back(std::string("schedule round-trip failed to parse: ") +
-                     e.what());
-    return errors;
-  }
-  if (schedule2.tasks() != schedule.tasks() ||
-      schedule2.comms() != schedule.comms()) {
-    errors.push_back("schedule round-trip is not bit-exact");
-  }
-  // The reread schedule must still pass the independent validator against
-  // the reread graph.
-  const ValidationResult check =
-      model == CommModel::kOnePort
-          ? validate_one_port(schedule2, graph2, scenario.platform)
-          : validate_macro_dataflow(schedule2, graph2, scenario.platform);
-  if (!check.ok()) {
-    errors.push_back("reread schedule fails validation:\n" + check.message());
-  }
-  return errors;
-}
-
 std::vector<std::string> check_comm_bounds(const Scenario& scenario,
                                            const Schedule& schedule) {
   std::vector<std::string> errors;
@@ -279,8 +218,6 @@ std::vector<std::string> check_all_invariants(const Scenario& scenario,
   if (!all.empty()) return all;  // downstream checks assume validity
   absorb("P2/lower-bounds", check_makespan_lower_bounds(scenario, schedule));
   absorb("P3/replay", check_replay_dominance(scenario, schedule, model));
-  absorb("P4/serialize",
-         check_serialize_round_trip(scenario, schedule, model));
   absorb("P5/comm-bounds", check_comm_bounds(scenario, schedule));
   return all;
 }

@@ -4,7 +4,7 @@
 // property holds), so a sweep can aggregate everything that went wrong
 // for one scenario instead of stopping at the first failure.  They are
 // deliberately layered on the *independent* machinery of the library --
-// sched/validate.hpp, sched/replay.hpp, sched/serialize.hpp -- so a bug
+// sched/validate.hpp and sched/replay.hpp -- so a bug
 // in a heuristic cannot be masked by that heuristic's own bookkeeping.
 //
 // Properties checked:
@@ -16,8 +16,8 @@
 //   P3 replay dominance: an ASAP replay under the same model never
 //      increases the makespan, and relaxing a one-port schedule to the
 //      macro-dataflow rules never increases it either;
-//   P4 serialize round-trip: graph and schedule survive a write -> read
-//      cycle bit-exactly;
+//   (there is no P4: ids stay stable when a check is retired, so
+//   failure messages keep meaning the same property);
 //   P5 communication bounds: every message maps to a cross-processor
 //      edge; on fully-connected platforms each such edge carries exactly
 //      one direct message (so #comms <= #edges, and 0 on a
@@ -49,18 +49,13 @@ namespace oneport::testsupport {
 [[nodiscard]] std::vector<std::string> check_replay_dominance(
     const Scenario& scenario, const Schedule& schedule, CommModel model);
 
-/// P4: write_task_graph/read_task_graph and write_schedule/read_schedule
-/// round-trip bit-exactly (and the reread schedule still validates).
-[[nodiscard]] std::vector<std::string> check_serialize_round_trip(
-    const Scenario& scenario, const Schedule& schedule, CommModel model);
-
 /// P5: messages biject into a subset of the cross-processor edges; with
 /// scenario routing, each edge's chain must follow the routed path hop by
 /// hop.
 [[nodiscard]] std::vector<std::string> check_comm_bounds(
     const Scenario& scenario, const Schedule& schedule);
 
-/// Runs P1-P5 and returns every violation, each prefixed with the
+/// Runs P1-P3 and P5 and returns every violation, each prefixed with the
 /// scenario description and the property id.
 [[nodiscard]] std::vector<std::string> check_all_invariants(
     const Scenario& scenario, const Schedule& schedule, CommModel model);
